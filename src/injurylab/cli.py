@@ -19,17 +19,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domain import (DataError, ParseError, build_daily_panel, parse_athletes,
-                     parse_injuries, parse_sessions, split_by_season)
-from .load_metrics import build_feature_matrix, build_load_series
+from .domain import (DataError, ParseError, parse_athletes, parse_injuries,
+                     parse_sessions, split_by_season)
 from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
                       roc_curve, subgroup_auc)
 from .models import ModelSpec
 from .models.base import ConvergenceError
 from .pipeline import (Cell, PipelineSettings, Protocol, assemble_modeling_data,
-                       learning_curve, load_bundle, run_pipeline_once,
-                       run_simulations, save_bundle, stream_rng)
-from .preprocess import impute_session_values
+                       features_from_records, learning_curve, load_bundle,
+                       run_pipeline_once, run_simulations, save_bundle,
+                       stream_rng)
 from .runconfig import ConfigError, RunConfig, example_config, load_config
 from .synthdata import (CohortConfig, generate_cohort, null_config,
                         signal_config, write_cohort_csvs)
@@ -139,12 +138,9 @@ def _load_modeling_inputs(cfg: RunConfig):
     sessions = parse_sessions(cfg.sessions)
     injuries = parse_injuries(cfg.injuries)
     athletes = parse_athletes(cfg.athletes)
-    sessions = impute_session_values(sessions, stream_rng(cfg.seed, 0, "ingest"),
-                                     donors=cfg.pmm_donors)
-    panel = build_daily_panel(sessions, injuries, athletes, lag_days=cfg.lag_days)
-    series = build_load_series(sessions, season_starts=panel.season_starts)
-    features = build_feature_matrix(panel, series, monotony_cap=cfg.monotony_cap)
-    return panel, features
+    return features_from_records(sessions, injuries, athletes, seed=cfg.seed,
+                                 lag_days=cfg.lag_days, monotony_cap=cfg.monotony_cap,
+                                 pmm_donors=cfg.pmm_donors)
 
 
 def _split_data(cfg: RunConfig, panel, features):

@@ -13,7 +13,7 @@ contribute zero load.  Accumulators reset at season boundaries.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view

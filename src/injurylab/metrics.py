@@ -10,7 +10,6 @@ likelihood ratios, post-test probabilities and expected cost.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np

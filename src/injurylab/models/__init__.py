@@ -1,8 +1,7 @@
 """Five predictor families behind one fit/score contract.
 
-``fit_model`` dispatches a ModelSpec to its family trainer, running 10-fold
-cross-validated hyperparameter selection whenever the grid has more than one
-candidate.
+``fit_model`` dispatches a ModelSpec to its family; the four CV-tuned families
+pass the grid, verbatim, as the candidate list of ``tuning.tune``.
 """
 
 from __future__ import annotations
@@ -11,21 +10,23 @@ import numpy as np
 
 from .base import (FAMILIES, ConvergenceError, TrainedModel, load_model,
                    model_from_dict, model_to_dict, save_model, sigmoid)
-from .forest import fit_random_forest, fit_random_forest_raw, resolve_max_features
+from .forest import (RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES, fit_random_forest,
+                     fit_random_forest_raw, resolve_max_features,
+                     tune_random_forest)
 from .gee import fit_gee_ar1
 from .linear import (ALPHA_GRID, LAMBDA_GRID, fit_elastic_net_raw,
                      fit_logistic_elastic_net, fit_logistic_irls,
                      fit_univariate_family, fit_univariate_logistic, log_loss,
-                     smooth_gradient)
-from .svm import C_GRID, GAMMA_GRID, fit_svm_rbf, fit_svm_rbf_raw, rbf_kernel
+                     smooth_gradient, tune_elastic_net, tune_univariate)
+from .svm import C_GRID, GAMMA_GRID, fit_svm_rbf, fit_svm_rbf_raw, rbf_kernel, tune_svm
 from .tuning import (CV_FOLDS, CandidateResult, CvResult, ModelSpec,
-                     cross_validate, effective_folds, grouped_fold_ids,
-                     stratified_fold_ids)
+                     candidate_grid, coerce_grid, cross_validate, effective_folds,
+                     grouped_fold_ids, stratified_fold_ids)
 
 __all__ = [
     "FAMILIES", "ConvergenceError", "TrainedModel", "ModelSpec", "CvResult",
     "CandidateResult", "fit_model", "save_model", "load_model",
-    "model_to_dict", "model_from_dict", "cross_validate",
+    "model_to_dict", "model_from_dict", "cross_validate", "candidate_grid",
     "fit_logistic_elastic_net", "fit_univariate_logistic",
     "fit_univariate_family", "fit_gee_ar1", "fit_random_forest",
     "fit_svm_rbf", "fit_logistic_irls", "fit_elastic_net_raw",
@@ -36,52 +37,30 @@ __all__ = [
 ]
 
 
-def _grid_values(grid, key, default):
-    if grid is None:
-        return default
-    values = [params[key] for params in grid if key in params]
-    return tuple(dict.fromkeys(values)) if values else default
-
-
 def fit_model(spec: ModelSpec, X, y, rng: np.random.Generator,
               feature_names=None, groups=None) -> TrainedModel:
     """Fit one family per its spec; grids with several candidates are tuned
     by stratified k-fold AUC."""
-    X = np.asarray(X, dtype=float)
-    common = dict(folds=spec.folds, rng=rng, feature_names=feature_names,
-                  groups=groups, group_folds=spec.group_folds)
+    grid = spec.grid
+    cv = dict(folds=spec.folds, rng=rng, feature_names=feature_names,
+              groups=groups, group_folds=spec.group_folds)
     if spec.family == "logistic_elastic_net":
-        return fit_logistic_elastic_net(
-            X, y,
-            lambdas=_grid_values(spec.grid, "lam", LAMBDA_GRID),
-            alphas=_grid_values(spec.grid, "alpha", ALPHA_GRID),
-            **common,
-        )
+        return tune_elastic_net(
+            X, y, grid or candidate_grid(lam=LAMBDA_GRID, alpha=ALPHA_GRID), **cv)
     if spec.family == "univariate_logistic":
-        columns = None
-        if spec.grid is not None:
-            columns = [params["column"] for params in spec.grid]
-        return fit_univariate_family(X, y, columns=columns, **common)
+        return tune_univariate(
+            X, y, grid or candidate_grid(column=list(range(np.shape(X)[1]))), **cv)
     if spec.family == "gee_ar1":
         if groups is None:
             raise ValueError("gee_ar1 requires athlete groups")
-        alpha = None
-        if spec.grid is not None and "alpha_fixed" in spec.grid[0]:
-            alpha = spec.grid[0]["alpha_fixed"]
+        if grid is not None and len(grid) > 1:
+            raise ValueError(f"gee_ar1 takes one grid entry, got {len(grid)}")
+        alpha = coerce_grid(grid, alpha_fixed=None)[0]["alpha_fixed"] if grid else None
         return fit_gee_ar1(X, y, groups, alpha=alpha, feature_names=feature_names)
     if spec.family == "random_forest":
-        return fit_random_forest(
-            X, y,
-            n_trees=_grid_values(spec.grid, "n_trees", (500,)),
-            max_features=_grid_values(spec.grid, "max_features", ("sqrt", "third")),
-            min_leaf=_grid_values(spec.grid, "min_leaf", (1,)),
-            **common,
-        )
+        return tune_random_forest(
+            X, y, grid or candidate_grid(n_trees=RF_TREES, max_features=RF_MAX_FEATURES,
+                                         min_leaf=RF_MIN_LEAF), **cv)
     if spec.family == "svm_rbf":
-        return fit_svm_rbf(
-            X, y,
-            C=_grid_values(spec.grid, "C", C_GRID),
-            gamma=_grid_values(spec.grid, "gamma", GAMMA_GRID),
-            **common,
-        )
+        return tune_svm(X, y, grid or candidate_grid(C=C_GRID, gamma=GAMMA_GRID), **cv)
     raise ValueError(f"unknown model family {spec.family!r}")

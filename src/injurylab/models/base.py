@@ -77,16 +77,13 @@ class _ArrayEncoder(json.JSONEncoder):
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    # metadata may hold non-serializable working state (e.g. in-bag masks)
-    metadata = {k: v for k, v in model.metadata.items()
-                if not isinstance(v, np.ndarray) or v.size <= 10000}
     return {
         "format_version": MODEL_FILE_VERSION,
         "family": model.family,
         "feature_names": list(model.feature_names),
         "hyperparams": model.hyperparams,
         "params": model.params,
-        "metadata": metadata,
+        "metadata": model.metadata,
     }
 
 

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 
-from .base import TrainedModel, check_binary_labels, register_family
-from .tuning import CV_FOLDS, cross_validate
+from .base import TrainedModel, register_family
+from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
 
 RF_TREES = 500
+RF_MAX_FEATURES = ("sqrt", "third")
 RF_MIN_LEAF = 1
 
 
@@ -147,67 +148,35 @@ def fit_random_forest_raw(X, y, n_trees: int, max_features, min_leaf: int,
     return trees, inbag
 
 
-def fit_random_forest(X, y, n_trees=RF_TREES, max_features=("sqrt", "third"),
+def tune_random_forest(X, y, grid, **cv) -> TrainedModel:
+    """Random forest over the grid's (n_trees, max_features, min_leaf)
+    candidates; AUC ties prefer fewer trees, then fewer features per split,
+    then larger leaves.  ``cv`` goes to tune."""
+    p = np.shape(X)[1]
+
+    def fit(params, X, y, rows, rng, state):
+        trees, _ = fit_random_forest_raw(X[rows], y[rows], params["n_trees"],
+                                         params["max_features"], params["min_leaf"], rng)
+        return {"trees": trees}, {}, None
+
+    def prefer(prm):
+        return (-prm["n_trees"], -resolve_max_features(prm["max_features"], p),
+                prm["min_leaf"])
+
+    return tune("random_forest",
+                coerce_grid(grid, n_trees=int, max_features=None, min_leaf=int),
+                fit, X, y, prefer=prefer, **cv)
+
+
+def fit_random_forest(X, y, n_trees=RF_TREES, max_features=RF_MAX_FEATURES,
                       min_leaf=RF_MIN_LEAF, folds: int = CV_FOLDS,
                       rng: np.random.Generator | None = None, feature_names=None,
-                      keep_inbag: bool = False, groups=None,
-                      group_folds: bool = False) -> TrainedModel:
-    """Random forest with CV tuning over (n_trees, max_features, min_leaf).
-
-    Scalar arguments mean a single candidate (no CV); sequences form the
-    grid.  AUC ties prefer fewer trees, then fewer features per split.
-    """
-    X = np.asarray(X, dtype=float)
-    y = check_binary_labels(y)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def as_tuple(v):
-        return tuple(v) if isinstance(v, (tuple, list)) else (v,)
-
-    candidates = [
-        {"n_trees": int(t), "max_features": mf, "min_leaf": int(ml)}
-        for t in as_tuple(n_trees)
-        for mf in as_tuple(max_features)
-        for ml in as_tuple(min_leaf)
-    ]
-    cv_meta = {}
-    if len(candidates) == 1:
-        selected = candidates[0]
-    else:
-        def fit_score(params, train_idx, valid_idx, child, state):
-            trees, _ = fit_random_forest_raw(
-                X[train_idx], y[train_idx], params["n_trees"],
-                params["max_features"], params["min_leaf"], child,
-            )
-            return _forest_votes(trees, X[valid_idx]), None
-
-        def prefer(prm):
-            return (-prm["n_trees"], -resolve_max_features(prm["max_features"], X.shape[1]),
-                    prm["min_leaf"])
-
-        cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
-                            prefer=prefer, groups=groups, group_folds=group_folds)
-        selected = cv.selected
-        cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
-                   "cv_mean_auc": cv.selected_mean_auc}
-    trees, inbag = fit_random_forest_raw(
-        X, y, selected["n_trees"], selected["max_features"], selected["min_leaf"],
-        rng, keep_inbag=keep_inbag,
-    )
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X.shape[1])
-    ]
-    metadata = dict(cv_meta)
-    if keep_inbag:
-        metadata["inbag"] = inbag
-    return TrainedModel(
-        family="random_forest",
-        feature_names=names,
-        hyperparams=dict(selected),
-        params={"trees": trees},
-        metadata=metadata,
-    )
+                      groups=None, group_folds: bool = False) -> TrainedModel:
+    """Random forest with CV tuning over every (n_trees, max_features,
+    min_leaf) combination; a scalar argument is a one-value axis."""
+    grid = candidate_grid(n_trees=n_trees, max_features=max_features, min_leaf=min_leaf)
+    return tune_random_forest(X, y, grid, folds=folds, rng=rng, groups=groups,
+                              feature_names=feature_names, group_folds=group_folds)
 
 
 def _score_forest(params, X):

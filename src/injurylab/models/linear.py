@@ -1,10 +1,12 @@
-"""Logistic regression models: elastic-net penalized (coordinate descent) and
+"""Logistic regression models: elastic-net penalized (proximal Newton) and
 unregularized univariate fits (iteratively reweighted least squares).
 
 The elastic net minimizes
     mean log-loss + lam * (alpha * ||beta||_1 + (1 - alpha) * ||beta||_2^2 / 2)
-with an unpenalized intercept.  Each sweep refreshes the quadratic
-approximation at the current point and cycles once through the coordinates.
+with an unpenalized intercept.  Each outer step re-linearizes the log-loss at
+the current point, solves the penalized quadratic model (by FISTA, or exactly
+when there is no L1 term) and backtracks along the step on the true
+objective.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family, sigmoid)
-from .tuning import CV_FOLDS, cross_validate
+from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
 
 LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 1, 7))
 ALPHA_GRID = (0.0, 0.5, 1.0)
@@ -23,14 +25,6 @@ ENET_MAX_ITER = 10000
 UNIVARIATE_TOL = 1e-8
 UNIVARIATE_MAX_ITER = 100
 _MIN_WEIGHT = 1e-5
-
-
-def _soft_threshold(value: float, amount: float) -> float:
-    if value > amount:
-        return value - amount
-    if value < -amount:
-        return value + amount
-    return 0.0
 
 
 def log_loss(intercept, beta, X, y, lam: float = 0.0, alpha: float = 0.0) -> float:
@@ -55,13 +49,15 @@ def smooth_gradient(intercept, beta, X, y, lam: float = 0.0, alpha: float = 0.0)
 
 def fit_elastic_net_raw(X, y, lam: float, alpha: float, tol: float = ENET_TOL,
                         max_iter: int = ENET_MAX_ITER, init=None):
-    """Coordinate-descent solve for one (lam, alpha); returns (b, beta, sweeps).
+    """Proximal Newton solve for one (lam, alpha); returns (b, beta, sweeps).
 
-    Outer loop: re-linearize the log-loss at the current point (weighted least
-    squares working response).  Inner loop: cyclic coordinate descent on the
-    fixed quadratic, iterating the active set between full passes.  Converged
-    when a re-linearization step moves no parameter by tol or more; sweeps
-    across all inner passes count against max_iter.
+    Each outer step re-linearizes the log-loss at the current point (weighted
+    least squares working response), minimizes the penalized quadratic model
+    (FISTA, or an exact linear solve when the L1 term is zero) and then
+    backtracks along the step until the true objective does not rise.
+    Converged when an outer step moves no parameter by tol or more, or when
+    no backtracked step descends.  ``sweeps`` counts outer steps, and
+    max_iter caps them.
     """
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)
@@ -171,13 +167,24 @@ def _fista_quadratic(H, c, theta0, l1, stop_tol, max_steps=100000):
     return None
 
 
-def _enet_candidates(lambdas, alphas):
-    # alpha-major with lam descending: warm starts chain along a penalty path
-    return [
-        {"lam": float(lam), "alpha": float(alpha)}
-        for alpha in alphas
-        for lam in sorted(lambdas, reverse=True)
-    ]
+def tune_elastic_net(X, y, grid, tol: float = ENET_TOL, max_iter: int = ENET_MAX_ITER,
+                     **cv) -> TrainedModel:
+    """Elastic net over the grid's (lam, alpha) candidates, run alpha-major
+    (alphas in order of first appearance) with lam descending, so warm starts
+    chain along each penalty path.  AUC ties prefer the larger penalty, then
+    the larger L1 share; ``cv`` goes to tune."""
+    def fit(params, X, y, rows, rng, state):
+        lam, alpha = params["lam"], params["alpha"]
+        init = state[:2] if state is not None and state[2] == alpha else None
+        b, beta, sweeps = fit_elastic_net_raw(X[rows], y[rows], lam, alpha, tol=tol,
+                                              max_iter=max_iter, init=init)
+        return {"intercept": b, "beta": beta}, {"sweeps": sweeps}, (b, beta, alpha)
+
+    candidates = coerce_grid(grid, lam=float, alpha=float)
+    alphas = list(dict.fromkeys(params["alpha"] for params in candidates))
+    candidates.sort(key=lambda params: (alphas.index(params["alpha"]), -params["lam"]))
+    return tune("logistic_elastic_net", candidates, fit, X, y, chain_state=True,
+                prefer=lambda prm: (prm["lam"], prm["alpha"]), **cv)
 
 
 def fit_logistic_elastic_net(X, y, lambdas=LAMBDA_GRID, alphas=ALPHA_GRID,
@@ -185,49 +192,11 @@ def fit_logistic_elastic_net(X, y, lambdas=LAMBDA_GRID, alphas=ALPHA_GRID,
                              feature_names=None, tol: float = ENET_TOL,
                              max_iter: int = ENET_MAX_ITER, groups=None,
                              group_folds: bool = False) -> TrainedModel:
-    """Elastic-net logistic regression tuned by stratified k-fold AUC.
-
-    AUC ties prefer the larger penalty, then the larger L1 share.
-    """
-    X = np.asarray(X, dtype=float)
-    y = check_binary_labels(y)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    candidates = _enet_candidates(lambdas, alphas)
-    cv_meta = {}
-    if len(candidates) == 1:
-        selected = candidates[0]
-    else:
-        def fit_score(params, train_idx, valid_idx, child, state):
-            init = state if state is not None and state[2] == params["alpha"] else None
-            init = (init[0], init[1]) if init is not None else None
-            b, beta, _ = fit_elastic_net_raw(
-                X[train_idx], y[train_idx], params["lam"], params["alpha"],
-                tol=tol, max_iter=max_iter, init=init,
-            )
-            scores = sigmoid(b + X[valid_idx] @ beta)
-            return scores, (b, beta, params["alpha"])
-
-        cv = cross_validate(
-            candidates, X, y, fit_score, rng, folds=folds,
-            prefer=lambda prm: (prm["lam"], prm["alpha"]),
-            groups=groups, group_folds=group_folds, chain_state=True,
-        )
-        selected = cv.selected
-        cv_meta = {"cv_table": cv.table(), "fold_id": cv.fold_id,
-                   "folds": cv.folds, "cv_mean_auc": cv.selected_mean_auc}
-    b, beta, sweeps = fit_elastic_net_raw(X, y, selected["lam"], selected["alpha"],
-                                          tol=tol, max_iter=max_iter)
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X.shape[1])
-    ]
-    return TrainedModel(
-        family="logistic_elastic_net",
-        feature_names=names,
-        hyperparams=dict(selected),
-        params={"intercept": b, "beta": beta},
-        metadata={"sweeps": sweeps, **cv_meta},
-    )
+    """Elastic-net logistic regression tuned by stratified k-fold AUC over
+    every (lam, alpha) pair."""
+    return tune_elastic_net(X, y, candidate_grid(lam=lambdas, alpha=alphas), tol=tol,
+                            max_iter=max_iter, folds=folds, rng=rng, groups=groups,
+                            feature_names=feature_names, group_folds=group_folds)
 
 
 def fit_logistic_irls(X, y, tol: float = UNIVARIATE_TOL,
@@ -277,42 +246,27 @@ def fit_univariate_logistic(x, y, tol: float = UNIVARIATE_TOL,
     )
 
 
+def tune_univariate(X, y, grid, **cv) -> TrainedModel:
+    """Univariate logistic fits over the grid's columns; CV picks the column,
+    ties going to the lower index.  The model scores the full feature matrix."""
+    def fit(params, X, y, rows, rng, state):
+        j = params["column"]
+        b, beta = fit_logistic_irls(X[rows, j:j + 1], y[rows])
+        return {"intercept": b, "slope": float(beta[0]), "column": j}, {}, None
+
+    return tune("univariate_logistic", coerce_grid(grid, column=int), fit, X, y,
+                prefer=lambda prm: -prm["column"], **cv)
+
+
 def fit_univariate_family(X, y, columns=None, folds: int = CV_FOLDS,
                           rng: np.random.Generator | None = None,
                           feature_names=None, groups=None,
                           group_folds: bool = False) -> TrainedModel:
-    """Univariate logistic models per feature column; CV picks the best column."""
-    X = np.asarray(X, dtype=float)
-    y = check_binary_labels(y)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X.shape[1])
-    ]
-    if columns is None:
-        columns = list(range(X.shape[1]))
-    candidates = [{"column": int(j)} for j in columns]
-    cv_meta = {}
-    if len(candidates) == 1:
-        selected = candidates[0]
-    else:
-        def fit_score(params, train_idx, valid_idx, child, state):
-            j = params["column"]
-            b, beta = fit_logistic_irls(X[train_idx, j:j + 1], y[train_idx])
-            return sigmoid(b + beta[0] * X[valid_idx, j]), None
-
-        cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
-                            prefer=lambda prm: -prm["column"],
-                            groups=groups, group_folds=group_folds)
-        selected = cv.selected
-        cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
-                   "cv_mean_auc": cv.selected_mean_auc}
-    j = selected["column"]
-    model = fit_univariate_logistic(X[:, j], y, feature_name=names[j], column=j)
-    # score contract: the model consumes the full feature matrix
-    model.feature_names = names
-    model.metadata.update(cv_meta)
-    return model
+    """Univariate logistic models per column (default: all); CV picks one."""
+    columns = range(np.shape(X)[1]) if columns is None else columns
+    return tune_univariate(X, y, candidate_grid(column=list(columns)), folds=folds,
+                           rng=rng, feature_names=feature_names, groups=groups,
+                           group_folds=group_folds)
 
 
 def _score_linear(params, X):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family)
-from .tuning import CV_FOLDS, cross_validate
+from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
 
 C_GRID = (0.1, 1.0, 10.0)
 GAMMA_GRID = (0.01, 0.1, 1.0)
@@ -113,56 +113,28 @@ def fit_svm_rbf_raw(X, y, C: float, gamma: float, rng: np.random.Generator,
     return X[support], (alpha * y_pm)[support], b
 
 
+def tune_svm(X, y, grid, tol: float = KKT_TOL, max_sweeps: int = SMO_MAX_SWEEPS,
+             **cv) -> TrainedModel:
+    """RBF SVM over the grid's (C, gamma) candidates; AUC ties prefer smaller
+    C, then smaller gamma.  ``cv`` goes to tune."""
+    def fit(params, X, y, rows, rng, state):
+        sv, coef, b = fit_svm_rbf_raw(X[rows], y[rows], params["C"], params["gamma"], rng,
+                                      tol=tol, max_sweeps=max_sweeps)
+        return ({"support_vectors": sv, "dual_coef": coef, "intercept": b,
+                 "gamma": params["gamma"]}, {"n_support": int(sv.shape[0])}, None)
+
+    return tune("svm_rbf", coerce_grid(grid, C=float, gamma=float), fit, X, y,
+                prefer=lambda prm: (-prm["C"], -prm["gamma"]), **cv)
+
+
 def fit_svm_rbf(X, y, C=C_GRID, gamma=GAMMA_GRID, folds: int = CV_FOLDS,
                 rng: np.random.Generator | None = None, tol: float = KKT_TOL,
                 max_sweeps: int = SMO_MAX_SWEEPS, feature_names=None,
                 groups=None, group_folds: bool = False) -> TrainedModel:
-    """RBF SVM with CV tuning over (C, gamma); AUC ties prefer smaller C then
-    smaller gamma."""
-    X = np.asarray(X, dtype=float)
-    y = check_binary_labels(y)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def as_tuple(v):
-        return tuple(v) if isinstance(v, (tuple, list)) else (v,)
-
-    candidates = [
-        {"C": float(c), "gamma": float(g)}
-        for c in as_tuple(C)
-        for g in as_tuple(gamma)
-    ]
-    cv_meta = {}
-    if len(candidates) == 1:
-        selected = candidates[0]
-    else:
-        def fit_score(params, train_idx, valid_idx, child, state):
-            sv, coef, b = fit_svm_rbf_raw(X[train_idx], y[train_idx],
-                                          params["C"], params["gamma"], child,
-                                          tol=tol, max_sweeps=max_sweeps)
-            if sv.shape[0] == 0:
-                return np.zeros(valid_idx.size) + b, None
-            return rbf_kernel(X[valid_idx], sv, params["gamma"]) @ coef + b, None
-
-        cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
-                            prefer=lambda prm: (-prm["C"], -prm["gamma"]),
-                            groups=groups, group_folds=group_folds)
-        selected = cv.selected
-        cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
-                   "cv_mean_auc": cv.selected_mean_auc}
-    sv, coef, b = fit_svm_rbf_raw(X, y, selected["C"], selected["gamma"], rng,
-                                  tol=tol, max_sweeps=max_sweeps)
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X.shape[1])
-    ]
-    return TrainedModel(
-        family="svm_rbf",
-        feature_names=names,
-        hyperparams=dict(selected),
-        params={"support_vectors": sv, "dual_coef": coef, "intercept": b,
-                "gamma": selected["gamma"]},
-        metadata={**cv_meta, "n_support": int(sv.shape[0])},
-    )
+    """RBF SVM with CV tuning over every (C, gamma) pair."""
+    return tune_svm(X, y, candidate_grid(C=C, gamma=gamma), tol=tol,
+                    max_sweeps=max_sweeps, folds=folds, rng=rng, groups=groups,
+                    feature_names=feature_names, group_folds=group_folds)
 
 
 def _score_svm(params, X):

@@ -3,28 +3,34 @@
 Folds are stratified by label (optionally grouped by athlete); every row is
 scored exactly once per candidate out-of-fold, candidates are ranked by mean
 validation AUC and ties go to the simpler model via a family-supplied
-preference key.
+preference key.  ``tune`` is the one path from a candidate list to a fitted
+TrainedModel that every CV-tuned family takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..metrics import auc
-from .base import ConvergenceError
+from .base import SCORERS, ConvergenceError, TrainedModel, check_binary_labels
 
 CV_FOLDS = 10
 
 
 @dataclass
 class ModelSpec:
-    """A model family plus its hyperparameter grid and tuning settings."""
+    """A model family plus its hyperparameter grid and tuning settings.
+
+    ``grid`` is the exact candidate list: one dict of the family's keys per
+    candidate, never expanded into a product.  None means the family default.
+    """
 
     family: str
-    grid: list[dict] | None = None   # None -> family defaults
+    grid: list[dict] | None = None
     folds: int = CV_FOLDS
     group_folds: bool = False
 
@@ -168,3 +174,63 @@ def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
     best = max(results, key=lambda r: (r.mean_auc, prefer(r.params)))
     return CvResult(results=results, selected=dict(best.params), fold_id=fold_id,
                     folds=folds, selected_mean_auc=best.mean_auc)
+
+
+def candidate_grid(**axes) -> list[dict]:
+    """Cartesian product of the axes, first key outermost; a scalar is a
+    one-value axis."""
+    values = [v if isinstance(v, (tuple, list, np.ndarray)) else (v,)
+              for v in axes.values()]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*values)]
+
+
+def coerce_grid(grid, **casts) -> list[dict]:
+    """The family's keys of every grid entry, each passed through its cast
+    (``None`` keeps the value); an entry lacking a key raises ValueError."""
+    try:
+        return [{key: params[key] if cast is None else cast(params[key])
+                 for key, cast in casts.items()} for params in grid]
+    except KeyError as exc:
+        raise ValueError(f"a grid entry lacks the key {exc.args[0]!r}") from None
+
+
+def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator | None = None,
+         folds: int = CV_FOLDS, prefer=None, groups=None, group_folds: bool = False,
+         chain_state: bool = False, feature_names=None) -> TrainedModel:
+    """Pick a family's candidate by cross-validated AUC and refit it on all rows.
+
+    ``fit(params, X, y, rows, rng, state)`` fits the given rows of X and
+    returns ``(model_params, metadata, state)``; validation rows are scored by
+    the family's registered scorer.  Repeated candidates are dropped (the
+    first is kept) and a single candidate skips CV.  The model's metadata is
+    the CV summary plus the metadata of the final fit.
+    """
+    X = np.asarray(X, dtype=float)
+    y = check_binary_labels(y)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    candidates = [dict(items) for items in
+                  dict.fromkeys(tuple(params.items()) for params in candidates)]
+    selected, cv_meta = candidates[0], {}
+    if len(candidates) > 1:
+        score = SCORERS[family]
+        fold = [None, None]    # a fold's validation rows and their X, sliced once
+
+        def fit_score(params, train_idx, valid_idx, child, state):
+            if fold[0] is not valid_idx:
+                fold[:] = valid_idx, X[valid_idx]
+            model_params, _, state = fit(params, X, y, train_idx, child, state)
+            return score(model_params, fold[1]), state
+
+        cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
+                            prefer=prefer, groups=groups, group_folds=group_folds,
+                            chain_state=chain_state)
+        selected = cv.selected
+        cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
+                   "cv_mean_auc": cv.selected_mean_auc}
+    model_params, metadata, _ = fit(selected, X, y, slice(None), rng, None)
+    names = list(feature_names) if feature_names is not None else [
+        f"x{j}" for j in range(X.shape[1])
+    ]
+    return TrainedModel(family=family, feature_names=names, hyperparams=dict(selected),
+                        params=model_params, metadata={**cv_meta, **metadata})

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import preprocess
-from .domain import DailyPanel, SplitDataset
-from .load_metrics import FeatureMatrix
+from .domain import SplitDataset, build_daily_panel, split_by_season
+from .load_metrics import FeatureMatrix, build_feature_matrix, build_load_series
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
 from .models.base import model_from_dict, model_to_dict
-from .preprocess import PcaProjection, PmmImputer
+from .preprocess import PcaProjection, PmmImputer, impute_session_values
 
 #: stage names -> fixed substream ids
 _STREAMS = {"impute": 0, "sampling": 1, "cv": 2, "model": 3, "subsample": 4,
@@ -103,23 +103,29 @@ def assemble_modeling_data(split: SplitDataset, features: FeatureMatrix) -> Mode
     )
 
 
-def modeling_data_from_records(sessions, injuries, athletes, train_seasons,
-                               test_seasons, seed: int = 0, lag_days: int = 4,
-                               monotony_cap: float = 10.0, pmm_donors: int = 5):
-    """Records -> imputed sessions -> panel -> features -> split -> ModelingData.
+def features_from_records(sessions, injuries, athletes, seed: int = 0,
+                          lag_days: int = 4, monotony_cap: float = 10.0,
+                          pmm_donors: int = 5):
+    """Records -> imputed sessions -> panel -> load series -> features.
 
-    Returns (panel, features, split, data).  Raw missing session fields are
-    filled once by predictive mean matching so every load series is complete.
+    Returns (panel, features).  Raw missing session fields are filled once by
+    predictive mean matching from the seed's "ingest" stream, so every load
+    series is complete.
     """
-    from .domain import build_daily_panel, split_by_season
-    from .load_metrics import build_feature_matrix, build_load_series
-    from .preprocess import impute_session_values
-
     sessions = impute_session_values(sessions, stream_rng(seed, 0, "ingest"),
                                      donors=pmm_donors)
     panel = build_daily_panel(sessions, injuries, athletes, lag_days=lag_days)
     series = build_load_series(sessions, season_starts=panel.season_starts)
-    features = build_feature_matrix(panel, series, monotony_cap=monotony_cap)
+    return panel, build_feature_matrix(panel, series, monotony_cap=monotony_cap)
+
+
+def modeling_data_from_records(sessions, injuries, athletes, train_seasons,
+                               test_seasons, seed: int = 0, lag_days: int = 4,
+                               monotony_cap: float = 10.0, pmm_donors: int = 5):
+    """Records -> features_from_records -> split; returns (panel, features,
+    split, ModelingData)."""
+    panel, features = features_from_records(sessions, injuries, athletes, seed,
+                                            lag_days, monotony_cap, pmm_donors)
     split = split_by_season(panel, train_seasons, test_seasons)
     return panel, features, split, assemble_modeling_data(split, features)
 

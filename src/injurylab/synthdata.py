@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from injurylab.models import (ModelSpec, cross_validate, effective_folds,
+from injurylab.models import (ModelSpec, candidate_grid, cross_validate,
+                              effective_folds, fit_logistic_elastic_net,
                               fit_logistic_irls, fit_model, grouped_fold_ids,
                               sigmoid, stratified_fold_ids)
 
@@ -141,3 +142,89 @@ class TestFitModelDispatch:
                 scores = model.score(X)
                 assert scores.shape == (120,)
                 assert np.all(np.isfinite(scores))
+
+
+def tiny_data(seed=0, n=60):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    y = (rng.random(n) < sigmoid(2.0 * X[:, 0])).astype(float)
+    return X, y
+
+
+# two candidates that differ in every key, so a cartesian rebuild would
+# make 4 (elastic net, SVM) or 8 (forest) of them
+TWO_POINT_GRIDS = {
+    "logistic_elastic_net": [{"lam": 0.1, "alpha": 1.0}, {"lam": 0.01, "alpha": 0.5}],
+    "svm_rbf": [{"C": 0.1, "gamma": 0.1}, {"C": 1.0, "gamma": 1.0}],
+    "random_forest": [{"n_trees": 3, "max_features": "sqrt", "min_leaf": 1},
+                      {"n_trees": 4, "max_features": "third", "min_leaf": 2}],
+}
+
+
+def cv_params(spec, X, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_model(spec, X, y, np.random.default_rng(3))
+    return [row["params"] for row in model.metadata["cv_table"]]
+
+
+class TestGridVerbatim:
+    def test_candidate_grid_first_key_outermost(self):
+        assert candidate_grid(a=(1, 2), b="s", c=[3, 4]) == [
+            {"a": 1, "b": "s", "c": 3}, {"a": 1, "b": "s", "c": 4},
+            {"a": 2, "b": "s", "c": 3}, {"a": 2, "b": "s", "c": 4},
+        ]
+
+    @pytest.mark.parametrize("family", sorted(TWO_POINT_GRIDS))
+    def test_two_entry_grid_gives_two_candidates(self, family):
+        X, y = tiny_data()
+        grid = TWO_POINT_GRIDS[family]
+        params = cv_params(ModelSpec(family, grid=grid, folds=3), X, y)
+        assert len(params) == 2
+        assert sorted(map(str, params)) == sorted(map(str, grid))
+
+    @pytest.mark.parametrize("family", sorted(TWO_POINT_GRIDS))
+    def test_repeated_entry_collapses(self, family):
+        X, y = tiny_data()
+        first, second = TWO_POINT_GRIDS[family]
+        spec = ModelSpec(family, grid=[first, second, dict(first)], folds=3)
+        assert len(cv_params(spec, X, y)) == 2
+
+    @pytest.mark.parametrize("family, entry, key", [
+        ("logistic_elastic_net", {"lam": 0.1}, "alpha"),
+        ("svm_rbf", {"gamma": 0.1}, "C"),
+        ("random_forest", {"n_trees": 3, "max_features": "sqrt"}, "min_leaf"),
+        ("univariate_logistic", {"col": 0}, "column"),
+        ("gee_ar1", {}, "alpha_fixed"),
+    ])
+    def test_entry_missing_a_key_rejected(self, family, entry, key):
+        X, y = tiny_data()
+        groups = np.repeat([f"G{i}" for i in range(6)], 10)
+        with pytest.raises(ValueError, match=key):
+            fit_model(ModelSpec(family, grid=[entry], folds=3), X, y,
+                      np.random.default_rng(0), groups=groups)
+
+    def test_gee_rejects_several_entries(self):
+        X, y = tiny_data()
+        groups = np.repeat([f"G{i}" for i in range(6)], 10)
+        spec = ModelSpec("gee_ar1", grid=[{"alpha_fixed": 0.0}, {"alpha_fixed": 0.5}])
+        with pytest.raises(ValueError, match="one grid entry"):
+            fit_model(spec, X, y, np.random.default_rng(0), groups=groups)
+
+    def test_entry_point_matches_lam_major_grid(self):
+        # same candidates in the same warm-start order, so the same bits
+        X, y = tiny_data(seed=1, n=80)
+        lambdas, alphas = (1e-3, 1e-1, 1e-2), (1.0, 0.5)
+        direct = fit_logistic_elastic_net(X, y, lambdas=lambdas, alphas=alphas,
+                                          folds=3, rng=np.random.default_rng(4))
+        spec = ModelSpec("logistic_elastic_net", folds=3,
+                         grid=[{"lam": lam, "alpha": alpha}
+                               for lam in lambdas for alpha in alphas])
+        via_spec = fit_model(spec, X, y, np.random.default_rng(4))
+        assert ([row["params"] for row in direct.metadata["cv_table"]]
+                == [row["params"] for row in via_spec.metadata["cv_table"]]
+                == [{"lam": lam, "alpha": alpha} for alpha in alphas
+                    for lam in (1e-1, 1e-2, 1e-3)])
+        assert direct.hyperparams == via_spec.hyperparams
+        assert direct.params["intercept"] == via_spec.params["intercept"]
+        assert direct.params["beta"].tobytes() == via_spec.params["beta"].tobytes()
