@@ -327,6 +327,7 @@ def cmd_simulate(cfg: RunConfig, manifest: Manifest) -> int:
     _, data = _split_data(cfg, panel, features)
     summary = run_simulations(data, _cells(cfg), cfg.n_sims, cfg.seed,
                               settings=_settings(cfg), threads=cfg.threads)
+    manifest.lines.append(f"blas_threads={summary.blas_threads or 'unpinned'}")
     summary_rows, auc_rows, status_rows = [], [], []
     for cell in summary.cells:
         summary_rows.append([
@@ -444,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override [run] seed")
         cmd.add_argument("--sims", type=int, help="override [simulate] n_sims")
         cmd.add_argument("--out", help="override [run] out directory")
-        cmd.add_argument("--threads", type=int, help="override [run] threads")
+        cmd.add_argument("--threads", type=int,
+                         help="override [run] threads; simulate's pool threads "
+                              "each run with one BLAS thread")
         if name == "predict":
             cmd.add_argument("--model", required=True, help="serialized model bundle")
     return parser

@@ -20,12 +20,19 @@ _ALPHA_BOUND = 0.95
 
 
 def _group_slices(groups):
-    """Contiguous (start, stop) runs per group, in row order."""
+    """Contiguous (start, stop) runs per group, in row order.  A group whose
+    rows form more than one run raises ValueError, rather than being fitted
+    as several independent clusters."""
     groups = np.asarray(groups)
     slices = []
+    seen = set()
     start = 0
     for i in range(1, groups.size + 1):
         if i == groups.size or groups[i] != groups[start]:
+            if groups[start] in seen:
+                raise ValueError(f"GEE group '{groups[start]}' is not contiguous; "
+                                 "rows must be sorted by group")
+            seen.add(groups[start])
             slices.append((start, i))
             start = i
     return slices
@@ -67,9 +74,9 @@ def _moment_alpha(residuals, slices, n_params):
 
 def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
                 max_iter: int = GEE_MAX_ITER, feature_names=None) -> TrainedModel:
-    """Fit the GEE; rows must be grouped by athlete and time-ordered within
-    each group.  ``alpha=None`` re-estimates the working correlation each
-    iteration; a fixed value (e.g. 0.0) pins it.
+    """Fit the GEE; rows must be grouped by athlete (ValueError otherwise)
+    and time-ordered within each group.  ``alpha=None`` re-estimates the
+    working correlation each iteration; a fixed value (e.g. 0.0) pins it.
     """
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)

@@ -9,8 +9,12 @@ thread count or execution order.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,6 +306,8 @@ class SimulationSummary:
     cells: list[CellSummary]
     n_sims: int
     master_seed: int
+    #: OpenBLAS threads the runs were held at; None when no OpenBLAS was found
+    blas_threads: int | None = None
 
     @property
     def all_complete(self) -> bool:
@@ -313,6 +319,14 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
                     threads: int = 1) -> SimulationSummary:
     """Repeat the whole pipeline n_sims times per cell with per-simulation
     seeds derived from (master_seed, sim index).
+
+    ``threads`` pool threads run the simulations, each with one BLAS thread:
+    numpy's bundled OpenBLAS is held at one thread for the whole call, on
+    every ``threads`` value, and its previous count is restored on exit.  So
+    the pool does not oversubscribe the cores, and the floating-point
+    reduction order, hence every result bit, does not depend on ``threads``
+    or on the machine's core count.  Warnings raised by the runs are
+    silenced for the duration of the call.
 
     Individual failures are recorded per cell rather than aborting the batch.
     """
@@ -333,14 +347,19 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
 
     tasks = [(c, s) for c in range(len(cells)) for s in range(n_sims)]
     results: dict[tuple, object] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_quiet, one, c, s): (c, s) for c, s in tasks}
-            for future, key in futures.items():
-                results[key] = future.result()
-    else:
-        for c, s in tasks:
-            results[(c, s)] = _run_quiet(one, c, s)
+    # catch_warnings saves and restores the process-wide filter list, so it is
+    # entered once, here: entered in each pool thread, interleaved exits can
+    # leave "ignore" installed for good.
+    with _one_blas_thread() as blas_threads, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = {pool.submit(_run_quiet, one, c, s): (c, s) for c, s in tasks}
+                for future, key in futures.items():
+                    results[key] = future.result()
+        else:
+            for c, s in tasks:
+                results[(c, s)] = _run_quiet(one, c, s)
 
     summaries = []
     for c, cell in enumerate(cells):
@@ -355,17 +374,52 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
         summaries.append(CellSummary(cell.spec.family, cell.outcome,
                                      cell.protocol.name, aucs, errors,
                                      single_run=n_sims == 1))
-    return SimulationSummary(summaries, n_sims, master_seed)
+    return SimulationSummary(summaries, n_sims, master_seed, blas_threads)
 
 
 def _run_quiet(fn, *args):
     """Run one simulation, converting failures into an error string."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    try:
+        return fn(*args)
+    except Exception as exc:  # recorded per cell, batch continues
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    wheels bundle under ``numpy.libs``, or None for any other BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
         try:
-            return fn(*args)
-        except Exception as exc:  # recorded per cell, batch continues
-            return f"{type(exc).__name__}: {exc}"
+            lib = ctypes.CDLL(path)
+        except OSError:   # not loadable here, so not the library numpy uses
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread and restore the previous count on
+    exit.  Yields 1, or None (changing nothing) when no OpenBLAS is found."""
+    functions = _openblas_threads()
+    if functions is None:
+        yield None
+        return
+    get, put = functions
+    saved = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(saved)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ transform.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,8 +283,6 @@ class SamplingResult:
     y: np.ndarray
     indices: np.ndarray
     synthetic: np.ndarray
-    synth_base: np.ndarray = dataclasses.field(default_factory=lambda: np.empty(0, dtype=int))
-    synth_neighbor: np.ndarray = dataclasses.field(default_factory=lambda: np.empty(0, dtype=int))
 
 
 def _class_split(y):
@@ -355,15 +352,11 @@ def smote(X, y, rng: np.random.Generator, k: int = SMOTE_NEIGHBORS,
         counts[rng.choice(n_min, remainder, replace=False)] += 1
 
     synth_rows = []
-    synth_base = []
-    synth_neighbor = []
     for local_idx in range(n_min):
         for _ in range(counts[local_idx]):
             nn_local = int(neighbor_table[local_idx, rng.integers(k_eff)])
             u = rng.random()
             synth_rows.append(X_min[local_idx] + u * (X_min[nn_local] - X_min[local_idx]))
-            synth_base.append(minority[local_idx])
-            synth_neighbor.append(minority[nn_local])
 
     target_majority = n_min + n_syn
     if n_maj > target_majority:
@@ -378,6 +371,4 @@ def smote(X, y, rng: np.random.Generator, k: int = SMOTE_NEIGHBORS,
     indices = np.concatenate([real, np.full(len(synth_rows), -1, dtype=int)])
     synthetic = np.concatenate([np.zeros(real.size, dtype=bool),
                                 np.ones(len(synth_rows), dtype=bool)])
-    return SamplingResult(X_out, y_out, indices, synthetic,
-                          np.asarray(synth_base, dtype=int),
-                          np.asarray(synth_neighbor, dtype=int))
+    return SamplingResult(X_out, y_out, indices, synthetic)

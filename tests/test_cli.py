@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from injurylab import pipeline
 from injurylab.cli import main
 
 BASE_CONFIG = """\
@@ -167,6 +168,15 @@ class TestSimulateCommand:
                      "--seed", "123"]) == 0
         assert ((a / "simulation_summary.csv").read_bytes()
                 != (b / "simulation_summary.csv").read_bytes())
+
+    def test_manifest_records_blas_threads(self, workspace, tmp_path):
+        _, config = workspace
+        out = tmp_path / "sims"
+        assert main(["simulate", "--config", config, "--out", str(out),
+                     "--sims", "1", "--threads", "2"]) == 0
+        expected = "unpinned" if pipeline._openblas_threads() is None else "1"
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert f"blas_threads={expected}" in lines
 
 
 class TestLearningCurveCommand:

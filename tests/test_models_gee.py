@@ -86,3 +86,12 @@ class TestGeeAr1:
         X, y, groups = grouped_data(rng)
         with pytest.raises(ConvergenceError):
             fit_gee_ar1(X, y, groups, max_iter=1)
+
+    def test_non_contiguous_groups_rejected(self, rng):
+        X, y, groups = grouped_data(rng)
+        split = np.concatenate([groups[6:], groups[:6]])   # G0 in two runs
+        with pytest.raises(ValueError, match="'G0' is not contiguous"):
+            fit_gee_ar1(X, y, split)
+        interleaved = np.array([f"G{i % 25}" for i in range(groups.size)])
+        with pytest.raises(ValueError, match="not contiguous"):
+            fit_gee_ar1(X, y, interleaved)

@@ -1,9 +1,12 @@
 import json
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from injurylab import pipeline
 from injurylab.domain import build_daily_panel, split_by_season
 from injurylab.load_metrics import build_feature_matrix, build_load_series
 from injurylab.models import ModelSpec
@@ -176,6 +179,89 @@ class TestRunSimulations:
         summary = run_simulations(data, cells, n_sims=20, master_seed=2)
         assert 0.4 <= summary.cells[0].mean_auc <= 0.6
 
+
+def _openblas_or_skip():
+    functions = pipeline._openblas_threads()
+    if functions is None:
+        pytest.skip("numpy does not use a bundled OpenBLAS")
+    return functions
+
+
+def _stub_run(*args, **kwargs):
+    return SimpleNamespace(test_auc=0.5)
+
+
+class TestSimulationProcessState:
+    """run_simulations holds OpenBLAS at one thread while it runs and leaves
+    the BLAS thread count and the warning filters as it found them."""
+
+    CELLS = [Cell(ENET, "nc", Protocol()), Cell(ENET, "nc", Protocol(pca=True))]
+
+    @pytest.fixture
+    def data(self, rng):
+        return synthetic_modeling_data(rng, n_train=40, n_test=20)
+
+    @pytest.fixture
+    def blas_get(self):
+        get, put = _openblas_or_skip()
+        saved = get()
+        put(2)   # a count the pin must override and then restore
+        try:
+            yield get
+        finally:
+            put(saved)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_runs_see_one_blas_thread(self, data, blas_get, monkeypatch, threads):
+        before = blas_get()
+        seen = []
+
+        def stub(*args, **kwargs):
+            seen.append(blas_get())
+            return _stub_run()
+
+        monkeypatch.setattr(pipeline, "run_pipeline_once", stub)
+        summary = run_simulations(data, self.CELLS, n_sims=3, master_seed=0,
+                                  threads=threads)
+        assert seen == [1] * 6
+        assert summary.blas_threads == 1
+        assert blas_get() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_thread_count_restored_after_raise(self, data, blas_get, monkeypatch,
+                                               threads):
+        class Abort(BaseException):   # not an Exception, so no cell catches it
+            pass
+
+        def stub(*args, **kwargs):
+            raise Abort
+
+        before = blas_get()
+        monkeypatch.setattr(pipeline, "run_pipeline_once", stub)
+        with pytest.raises(Abort):
+            run_simulations(data, self.CELLS, n_sims=2, master_seed=0,
+                            threads=threads)
+        assert blas_get() == before
+
+    def test_threaded_run_leaves_warning_filters(self, data, monkeypatch):
+        def stub(*args, **kwargs):
+            warnings.warn("fold count reduced", UserWarning)
+            time.sleep(0.002)   # lets the pool threads interleave
+            return _stub_run()
+
+        monkeypatch.setattr(pipeline, "run_pipeline_once", stub)
+        before = list(warnings.filters)
+        for _ in range(5):
+            run_simulations(data, self.CELLS, n_sims=4, master_seed=0, threads=4)
+            assert warnings.filters == before
+
+    def test_runs_without_openblas(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        data = synthetic_modeling_data(rng)
+        summary = run_simulations(data, [Cell(ENET, "nc", Protocol())], n_sims=2,
+                                  master_seed=4, threads=2)
+        assert summary.blas_threads is None
+        assert summary.cells[0].complete
 
 class TestLearningCurve:
     def test_basic_shape_and_full_size(self, rng):
