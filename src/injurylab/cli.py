@@ -26,9 +26,9 @@ from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
 from .models import ModelSpec
 from .models.base import ConvergenceError
 from .pipeline import (Cell, PipelineSettings, Protocol, assemble_modeling_data,
-                       features_from_records, learning_curve, load_bundle,
-                       run_pipeline_once, run_simulations, save_bundle,
-                       stream_rng)
+                       features_from_records, fit_imputer, learning_curve,
+                       load_bundle, run_pipeline_once, run_simulations,
+                       save_bundle, stream_rng)
 from .runconfig import ConfigError, RunConfig, example_config, load_config
 from .synthdata import (CohortConfig, generate_cohort, null_config,
                         signal_config, write_cohort_csvs)
@@ -202,6 +202,7 @@ def cmd_train(cfg: RunConfig, manifest: Manifest) -> int:
     panel, features = _load_modeling_inputs(cfg)
     _, data = _split_data(cfg, panel, features)
     settings = _settings(cfg)
+    imputer = fit_imputer(data.X_train, settings, data.feature_names)
     summary_rows = []
     for cell in _cells(cfg):
         run = run_pipeline_once(
@@ -209,6 +210,7 @@ def cmd_train(cfg: RunConfig, manifest: Manifest) -> int:
             data.X_test, data.y_test[cell.outcome],
             cell.spec, cell.protocol, settings, cfg.seed, sim_index=0,
             groups_train=data.groups_train, feature_names=data.feature_names,
+            imputer=imputer,
         )
         name = f"model__{cell.spec.family}__{cell.outcome}__{cell.protocol.name}.json"
         path = os.path.join(cfg.out, name)
@@ -268,6 +270,7 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
     panel, features = _load_modeling_inputs(cfg)
     _, data = _split_data(cfg, panel, features)
     settings = _settings(cfg)
+    imputer = fit_imputer(data.X_train, settings, data.feature_names)
     roc_rows, op_rows, group_rows = [], [], []
     for cell in _cells(cfg):
         y_test = data.y_test[cell.outcome]
@@ -275,7 +278,7 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
             data.X_train, data.y_train[cell.outcome], data.X_test, y_test,
             cell.spec, cell.protocol, settings, cfg.seed, sim_index=0,
             groups_train=data.groups_train, feature_names=data.feature_names,
-            compute_train_auc=True,
+            compute_train_auc=True, imputer=imputer,
         )
         tag = [cell.spec.family, cell.outcome, cell.protocol.name]
         curve = roc_curve(run.test_scores, y_test)
@@ -285,9 +288,7 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
         prevalence = float(np.mean(y_test))
         for ratio in cfg.cost_ratios:
             if cfg.operating_point_source == "train":
-                rng = stream_rng(cfg.seed, 0, "impute")
-                train_scores = run.model.score(run.bundle.transform(data.X_train, rng))
-                point = _train_threshold_point(train_scores,
+                point = _train_threshold_point(run.train_scores,
                                                data.y_train[cell.outcome],
                                                run.test_scores, y_test,
                                                ratio, prevalence)

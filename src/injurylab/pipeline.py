@@ -177,11 +177,28 @@ class PreprocessBundle:
         )
 
 
+def fit_imputer(X_train, settings: PipelineSettings, feature_names=None) -> PmmImputer:
+    """The PMM imputer that `fit_preprocessing` uses for X_train.  Fitting
+    draws no random numbers, so one fit serves every run on these rows."""
+    return PmmImputer.fit(X_train, donors=settings.pmm_donors,
+                          column_names=feature_names)
+
+
 def fit_preprocessing(X_train, settings: PipelineSettings, protocol: Protocol,
-                      rng: np.random.Generator, feature_names=None) -> tuple:
-    """Fit imputer/standardizer/PCA on training data; returns (bundle, X_out)."""
-    imputer = PmmImputer.fit(X_train, donors=settings.pmm_donors,
-                             column_names=feature_names)
+                      rng: np.random.Generator, feature_names=None,
+                      imputer: PmmImputer | None = None) -> tuple:
+    """Fit imputer/standardizer/PCA on training data; returns (bundle, X_out).
+
+    ``imputer`` is a `fit_imputer` result for this very X_train, shared
+    between runs on the same rows; without it the imputer is fitted here.
+    An imputer whose stored fit matrix is not X_train raises ValueError,
+    because its donor pools would leak other rows into this fit.
+    """
+    if imputer is None:
+        imputer = fit_imputer(X_train, settings, feature_names)
+    elif imputer.train is None or not np.array_equal(imputer.train, X_train,
+                                                     equal_nan=True):
+        raise ValueError("imputer was fitted on other rows than X_train")
     filled = imputer.transform(X_train, rng)
     standardized, means, scales = preprocess.standardize(filled)
     pca = None
@@ -203,14 +220,20 @@ class PipelineRun:
     test_auc: float
     train_auc: float | None = None
     n_model_rows: int = 0
+    #: model scores of the real (pre-sampling) training rows, with train_auc
+    train_scores: np.ndarray | None = None
 
 
 def run_pipeline_once(X_train, y_train, X_test, y_test, spec: ModelSpec,
                       protocol: Protocol, settings: PipelineSettings,
                       master_seed: int, sim_index: int = 0,
                       groups_train=None, feature_names=None,
-                      compute_train_auc: bool = False) -> PipelineRun:
-    """One full pass: preprocess on train, fit (with CV tuning), score test."""
+                      compute_train_auc: bool = False,
+                      imputer: PmmImputer | None = None) -> PipelineRun:
+    """One full pass: preprocess on train, fit (with CV tuning), score test.
+
+    ``imputer`` is passed on to `fit_preprocessing`.
+    """
     rng_impute = stream_rng(master_seed, sim_index, "impute")
     rng_sampling = stream_rng(master_seed, sim_index, "sampling")
     rng_model = stream_rng(master_seed, sim_index, "model")
@@ -218,7 +241,7 @@ def run_pipeline_once(X_train, y_train, X_test, y_test, spec: ModelSpec,
     y_train = np.asarray(y_train)
     y_test = np.asarray(y_test)
     bundle, Z_train = fit_preprocessing(X_train, settings, protocol, rng_impute,
-                                        feature_names)
+                                        feature_names, imputer)
     Z_test = bundle.transform(X_test, rng_impute)
 
     groups = (np.asarray(groups_train, dtype=object) if groups_train is not None
@@ -249,8 +272,8 @@ def run_pipeline_once(X_train, y_train, X_test, y_test, spec: ModelSpec,
         n_model_rows=X_fit.shape[0],
     )
     if compute_train_auc:
-        # train AUC is reported on the real (pre-sampling) training rows
-        run.train_auc = auc(model.score(Z_train), y_train)
+        run.train_scores = model.score(Z_train)
+        run.train_auc = auc(run.train_scores, y_train)
     return run
 
 
@@ -320,6 +343,11 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
     """Repeat the whole pipeline n_sims times per cell with per-simulation
     seeds derived from (master_seed, sim index).
 
+    Every run shares one PMM imputer, fitted once per call on
+    ``data.X_train`` (see `fit_imputer`); runs differ only in their random
+    streams, and fitting draws none.  If that fit fails, each run fits its
+    own and records the same error.
+
     ``threads`` pool threads run the simulations, each with one BLAS thread:
     numpy's bundled OpenBLAS is held at one thread for the whole call, on
     every ``threads`` value, and its previous count is restored on exit.  So
@@ -342,6 +370,7 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
             data.X_test, data.y_test[cell.outcome],
             cell.spec, cell.protocol, settings, master_seed, sim_index=sim,
             groups_train=data.groups_train, feature_names=data.feature_names,
+            imputer=imputer,
         )
         return run.test_auc
 
@@ -352,6 +381,10 @@ def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
     # leave "ignore" installed for good.
     with _one_blas_thread() as blas_threads, warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        try:
+            imputer = fit_imputer(data.X_train, settings, data.feature_names)
+        except Exception:   # each run refits and records the error itself
+            imputer = None
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 futures = {pool.submit(_run_quiet, one, c, s): (c, s) for c, s in tasks}

@@ -8,7 +8,7 @@ transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,16 @@ class PmmImputer:
     `donors` rows whose predicted value is closest to the missing row's
     prediction, chosen uniformly at random.  Imputed values are therefore
     always members of the observed support of their column.
+
+    A column's regression is solved the first time it is needed, from the
+    copy of the fit matrix kept in ``train``: `fit` solves the columns that
+    have a missing value in that matrix, `transform` solves any other column
+    the first time a matrix has a gap there, and `to_dict` solves the rest,
+    so a serialized imputer is complete.  A solve writes ``coefs[j]`` after
+    both donor arrays, so a thread that finds ``coefs[j]`` finds the whole
+    entry; two threads that solve the same column write equal arrays.  `fit`
+    draws no random numbers, so one fitted imputer can serve any number of
+    `transform` calls, from any number of threads.
     """
 
     n_columns: int
@@ -40,6 +50,8 @@ class PmmImputer:
     donor_preds: dict[int, np.ndarray]
     donor_values: dict[int, np.ndarray]
     donors: int = PMM_DONORS
+    #: the fit matrix; None for an imputer loaded with `from_dict`
+    train: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def fit(cls, X, donors: int = PMM_DONORS, column_names=None) -> "PmmImputer":
@@ -60,25 +72,32 @@ class PmmImputer:
         if complete_cols.size == 0:
             raise ValueError("predictive mean matching needs at least one fully observed column")
 
-        col_means = np.nanmean(X, axis=0)
-        coefs: dict[int, np.ndarray] = {}
-        donor_preds: dict[int, np.ndarray] = {}
-        donor_values: dict[int, np.ndarray] = {}
-        for j in range(p):
-            predictors = complete_cols[complete_cols != j]
-            obs = ~missing[:, j]
-            A = np.column_stack([np.ones(int(obs.sum())), X[np.ix_(obs, predictors)]])
-            target = X[obs, j]
-            coef, *_ = np.linalg.lstsq(A, target, rcond=None)
-            preds = A @ coef
-            order = np.argsort(preds, kind="mergesort")
-            coefs[j] = coef
-            donor_preds[j] = preds[order]
-            donor_values[j] = target[order]
-        return cls(p, complete_cols, col_means, coefs, donor_preds, donor_values, donors)
+        imputer = cls(p, complete_cols, np.nanmean(X, axis=0), {}, {}, {}, donors,
+                      X.copy())
+        for j in np.flatnonzero(missing.any(axis=0)):
+            imputer._solve(int(j))
+        return imputer
+
+    def _solve(self, j: int) -> None:
+        """Regress column j on the complete columns; store its sorted donor pool."""
+        X = self.train
+        predictors = self.complete_cols[self.complete_cols != j]
+        obs = ~np.isnan(X[:, j])
+        A = np.column_stack([np.ones(int(obs.sum())), X[np.ix_(obs, predictors)]])
+        target = X[obs, j]
+        coef, *_ = np.linalg.lstsq(A, target, rcond=None)
+        preds = A @ coef
+        order = np.argsort(preds, kind="mergesort")
+        self.donor_preds[j] = preds[order]
+        self.donor_values[j] = target[order]
+        self.coefs[j] = coef
 
     def transform(self, X, rng: np.random.Generator) -> np.ndarray:
-        """Fill missing entries of X with donor values drawn from the fit data."""
+        """Fill missing entries of X with donor values drawn from the fit data.
+
+        Draws one ``rng.integers(k)`` per missing entry, column by column and
+        down each column.
+        """
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n_columns:
             raise ValueError("column count differs from the fitted matrix")
@@ -87,36 +106,53 @@ class PmmImputer:
         if not missing.any():
             return out
         # predictor block with train-mean fallback for any missing predictor
-        base = X.copy()
-        fill = np.broadcast_to(self.col_means, X.shape)
-        base = np.where(np.isnan(base), fill, base)
-        for j in range(self.n_columns):
+        base = np.where(missing, self.col_means, X)
+        for j in np.flatnonzero(missing.any(axis=0)):
+            j = int(j)
+            if j not in self.coefs:
+                self._solve(j)
             rows = np.flatnonzero(missing[:, j])
-            if rows.size == 0:
-                continue
             predictors = self.complete_cols[self.complete_cols != j]
             A = np.column_stack([np.ones(rows.size), base[np.ix_(rows, predictors)]])
-            preds = A @ self.coefs[j]
-            pool_preds = self.donor_preds[j]
-            pool_values = self.donor_values[j]
-            k = min(self.donors, pool_values.size)
-            for row, pred in zip(rows, preds):
-                pos = np.searchsorted(pool_preds, pred)
-                lo = max(0, pos - k)
-                hi = min(pool_preds.size, pos + k)
-                window = np.arange(lo, hi)
-                nearest = window[np.argsort(np.abs(pool_preds[window] - pred), kind="mergesort")[:k]]
-                out[row, j] = pool_values[nearest[rng.integers(k)]]
+            out[rows, j] = self._draw_donors(j, A @ self.coefs[j], rng)
         return out
 
+    def _draw_donors(self, j: int, preds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """For each prediction, one of the k pool rows nearest to it, at random.
+
+        The k nearest lie among the 2k pool slots around the prediction's
+        insertion point; ties go to the lower slot.  Slots outside the pool
+        get a NaN distance, which the stable sort puts after every real
+        distance, infinite ones included.
+        """
+        pool_preds = self.donor_preds[j]
+        size = pool_preds.size
+        k = min(self.donors, size)
+        slots = np.searchsorted(pool_preds, preds)[:, None] + np.arange(-k, k)
+        inside = (slots >= 0) & (slots < size)
+        dist = np.where(inside,
+                        np.abs(pool_preds[np.clip(slots, 0, size - 1)] - preds[:, None]),
+                        np.nan)
+        nearest = np.argsort(dist, axis=1, kind="mergesort")[:, :k]
+        rows = np.arange(preds.size)
+        # one call draws the same values, and leaves the same stream state,
+        # as one rng.integers(k) call per row
+        picked = slots[rows, nearest[rows, rng.integers(k, size=preds.size)]]
+        return self.donor_values[j][picked]
+
     def to_dict(self) -> dict:
+        """Every column's regression, solving those not yet solved."""
+        for j in range(self.n_columns):
+            if j not in self.coefs:
+                self._solve(j)
+        columns = range(self.n_columns)
         return {
             "n_columns": self.n_columns,
             "complete_cols": self.complete_cols.tolist(),
             "col_means": self.col_means.tolist(),
-            "coefs": {str(j): c.tolist() for j, c in self.coefs.items()},
-            "donor_preds": {str(j): v.tolist() for j, v in self.donor_preds.items()},
-            "donor_values": {str(j): v.tolist() for j, v in self.donor_values.items()},
+            "coefs": {str(j): self.coefs[j].tolist() for j in columns},
+            "donor_preds": {str(j): self.donor_preds[j].tolist() for j in columns},
+            "donor_values": {str(j): self.donor_values[j].tolist() for j in columns},
             "donors": self.donors,
         }
 
@@ -146,6 +182,7 @@ def impute_session_values(sessions, rng: np.random.Generator,
     Runs once at ingest so that daily load series are complete; duration and
     the session-type indicator act as the fully observed predictors.  Imputed
     msr/hsr are clamped to the session distance to preserve row invariants.
+    Sessions with no missing field are returned as the same objects.
     """
     fields = ("rpe", "distance_m", "msr_m", "hsr_m", "player_load")
     matrix = np.full((len(sessions), 2 + len(fields)), np.nan)
@@ -160,15 +197,16 @@ def impute_session_values(sessions, rng: np.random.Generator,
         return list(sessions)
     filled = pmm_impute(matrix, rng, donors=donors,
                         column_names=["duration_min", "is_match", *fields])
-    out = []
-    for i, s in enumerate(sessions):
+    out = list(sessions)
+    for i in np.flatnonzero(np.isnan(matrix).any(axis=1)):
+        s = out[i]
         rpe = s.rpe if s.rpe is not None else int(round(filled[i, 2]))
         distance = s.distance_m if s.distance_m is not None else float(filled[i, 3])
         msr = s.msr_m if s.msr_m is not None else min(float(filled[i, 4]), distance)
         hsr = s.hsr_m if s.hsr_m is not None else min(float(filled[i, 5]), distance)
         player_load = s.player_load if s.player_load is not None else float(filled[i, 6])
-        out.append(replace(s, rpe=rpe, distance_m=distance, msr_m=msr,
-                           hsr_m=hsr, player_load=player_load))
+        out[i] = replace(s, rpe=rpe, distance_m=distance, msr_m=msr,
+                         hsr_m=hsr, player_load=player_load)
     return out
 
 

@@ -14,6 +14,7 @@ from injurylab.pipeline import (Cell, ModelingData, PipelineSettings, Protocol,
                                 assemble_modeling_data, learning_curve,
                                 load_bundle, run_pipeline_once,
                                 run_simulations, save_bundle, stream_rng)
+from injurylab.preprocess import PmmImputer
 from injurylab.synthdata import generate_cohort, signal_config
 
 
@@ -262,6 +263,107 @@ class TestSimulationProcessState:
                                   master_seed=4, threads=2)
         assert summary.blas_threads is None
         assert summary.cells[0].complete
+
+
+def data_with_gaps(rng, **kwargs):
+    """synthetic_modeling_data with 10% missing cells: columns 0 and 1 stay
+    complete in train but have gaps in test."""
+    data = synthetic_modeling_data(rng, **kwargs)
+    holes = rng.random(data.X_train.shape) < 0.1
+    holes[:, :2] = False
+    data.X_train[holes] = np.nan
+    data.X_test[rng.random(data.X_test.shape) < 0.1] = np.nan
+    return data
+
+
+class TestSharedImputer:
+    CELLS = [Cell(ENET, "nc", Protocol()), Cell(ENET, "nc", Protocol(pca=True)),
+             Cell(ENET, "nc", Protocol(sampling="smote"))]
+
+    def test_shared_fit_gives_the_per_run_results(self, rng):
+        data = data_with_gaps(rng)
+        summary = run_simulations(data, self.CELLS, n_sims=2, master_seed=5,
+                                  threads=2)
+        for cell, cell_summary in zip(self.CELLS, summary.cells):
+            for sim in range(2):
+                run = run_pipeline_once(
+                    data.X_train, data.y_train["nc"], data.X_test, data.y_test["nc"],
+                    cell.spec, cell.protocol, PipelineSettings(), 5, sim_index=sim,
+                    groups_train=data.groups_train, feature_names=data.feature_names)
+                assert cell_summary.aucs[sim] == run.test_auc
+
+    def test_one_fit_per_call(self, rng, monkeypatch):
+        data = data_with_gaps(rng, n_train=60, n_test=30)
+        fit = PmmImputer.fit.__func__
+        fits = []
+
+        def counting_fit(cls, *args, **kwargs):
+            fits.append(1)
+            return fit(cls, *args, **kwargs)
+
+        used = []
+
+        def stub(X_train, y_train, X_test, y_test, spec, protocol, settings,
+                 master_seed, sim_index=0, **kwargs):
+            used.append(kwargs["imputer"])
+            pipeline.fit_preprocessing(X_train, settings, protocol,
+                                       stream_rng(master_seed, sim_index, "impute"),
+                                       kwargs["feature_names"], kwargs["imputer"])
+            return _stub_run()
+
+        monkeypatch.setattr(PmmImputer, "fit", classmethod(counting_fit))
+        monkeypatch.setattr(pipeline, "run_pipeline_once", stub)
+        for threads in (1, 2):
+            fits.clear()
+            used.clear()
+            run_simulations(data, self.CELLS, n_sims=3, master_seed=0,
+                            threads=threads)
+            assert len(fits) == 1
+            assert len(used) == 9 and all(imputer is used[0] for imputer in used)
+
+    def test_failed_fit_recorded_for_every_run(self, rng):
+        data = synthetic_modeling_data(rng, n_train=60, n_test=30)
+        data.X_train[5:, 2] = np.nan          # 5 observed values
+        with pytest.raises(ValueError) as raised:
+            run_pipeline_once(data.X_train, data.y_train["nc"], data.X_test,
+                              data.y_test["nc"], ENET, Protocol(), PipelineSettings(),
+                              0, feature_names=data.feature_names)
+        message = f"ValueError: {raised.value}"
+        assert message == "ValueError: f2 has fewer than 10 observed values"
+        for threads in (1, 2):
+            summary = run_simulations(data, self.CELLS, n_sims=2, master_seed=0,
+                                      threads=threads)
+            for cell in summary.cells:
+                assert cell.errors == {0: message, 1: message}
+
+    def test_imputer_fitted_on_other_rows_rejected(self, rng):
+        data = data_with_gaps(rng)
+        settings = PipelineSettings()
+        others = (pipeline.fit_imputer(data.X_train[1:], settings),
+                  PmmImputer.from_dict(pipeline.fit_imputer(data.X_train,
+                                                            settings).to_dict()))
+        for imputer in others:
+            with pytest.raises(ValueError, match="other rows"):
+                pipeline.fit_preprocessing(data.X_train, settings, Protocol(),
+                                           stream_rng(0, 0, "impute"),
+                                           imputer=imputer)
+        shared = pipeline.fit_imputer(data.X_train, settings)
+        _, with_shared = pipeline.fit_preprocessing(
+            data.X_train, settings, Protocol(), stream_rng(0, 0, "impute"),
+            imputer=shared)
+        _, own = pipeline.fit_preprocessing(data.X_train, settings, Protocol(),
+                                            stream_rng(0, 0, "impute"))
+        np.testing.assert_array_equal(with_shared, own)
+
+    def test_train_scores_kept_with_train_auc(self, rng):
+        data = data_with_gaps(rng)
+        run = run_pipeline_once(data.X_train, data.y_train["nc"], data.X_test,
+                                data.y_test["nc"], ENET, Protocol(pca=True),
+                                PipelineSettings(), 3, compute_train_auc=True)
+        rescored = run.model.score(run.bundle.transform(data.X_train,
+                                                        stream_rng(3, 0, "impute")))
+        np.testing.assert_array_equal(run.train_scores, rescored)
+
 
 class TestLearningCurve:
     def test_basic_shape_and_full_size(self, rng):

@@ -1,5 +1,9 @@
 import copy
 import datetime as dt
+import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -355,3 +359,149 @@ class TestImputeSessionValues:
                     for i in range(12)]
         out = pp.impute_session_values(sessions, rng)
         assert out == sessions
+
+    def test_complete_sessions_kept_as_objects(self, rng):
+        sessions = [make_session(date=dt.date(2014, 3, 1) + dt.timedelta(days=i),
+                                 duration_min=50 + i, rpe=None if i == 5 else 6)
+                    for i in range(20)]
+        out = pp.impute_session_values(sessions, rng)
+        assert all(out[i] is sessions[i] for i in range(20) if i != 5)
+        assert out[5] is not sessions[5] and out[5].rpe == 6
+
+
+def scalar_pmm_transform(imputer, X, rng):
+    """Row-by-row PMM transform, the reference for the vectorised one; needs
+    every regression solved (call ``imputer.to_dict()`` first)."""
+    X = np.asarray(X, dtype=float)
+    out = X.copy()
+    missing = np.isnan(X)
+    if not missing.any():
+        return out
+    base = np.where(missing, imputer.col_means, X)
+    for j in range(imputer.n_columns):
+        rows = np.flatnonzero(missing[:, j])
+        if rows.size == 0:
+            continue
+        predictors = imputer.complete_cols[imputer.complete_cols != j]
+        A = np.column_stack([np.ones(rows.size), base[np.ix_(rows, predictors)]])
+        preds = A @ imputer.coefs[j]
+        pool_preds = imputer.donor_preds[j]
+        pool_values = imputer.donor_values[j]
+        k = min(imputer.donors, pool_values.size)
+        for row, pred in zip(rows, preds):
+            pos = np.searchsorted(pool_preds, pred)
+            lo = max(0, pos - k)
+            hi = min(pool_preds.size, pos + k)
+            window = np.arange(lo, hi)
+            nearest = window[np.argsort(np.abs(pool_preds[window] - pred), kind="mergesort")[:k]]
+            out[row, j] = pool_values[nearest[rng.integers(k)]]
+    return out
+
+
+def pmm_case(seed):
+    """A train matrix and a matrix to transform that between them hold
+    predictions beyond both ends of a pool, a pool of 10 rows (smaller than
+    the largest ``donors`` tried), tied pool predictions, an infinite
+    prediction and a column missing only in the transformed matrix."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    # complete columns 0, 1 and 4 take few values, so pool predictions tie
+    ties = rng.integers(0, 3, size=n).astype(float)
+    x1 = rng.integers(-2, 3, size=n).astype(float)
+    X = np.column_stack([ties, x1,
+                         2.0 * ties + rng.normal(scale=0.5, size=n),
+                         x1 - ties + rng.normal(size=n),
+                         rng.integers(0, 2, size=n).astype(float)])
+    X[rng.random(n) < 0.3, 2] = np.nan
+    X[10:, 3] = np.nan                                   # pool of 10 donors
+    test = np.column_stack([rng.integers(0, 3, size=25).astype(float),
+                            rng.normal(size=25), rng.normal(size=25),
+                            rng.normal(size=25), rng.normal(size=25)])
+    test[:, 2:4] = np.nan
+    test[0, 1], test[1, 1] = -1e6, 1e6                   # below / above every pool
+    test[2, 1] = np.inf
+    test[rng.random(25) < 0.4, 4] = np.nan               # missing only here
+    test[3, 0] = np.nan                                  # a missing predictor
+    return X, test
+
+
+class TestVectorisedPmm:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("donors", [1, 2, 5, 7, 12])
+    def test_matches_scalar_loop_bit_for_bit(self, seed, donors):
+        X, test = pmm_case(seed)
+        for matrix in (X, test):
+            reference = pp.PmmImputer.fit(X, donors=donors)
+            reference.to_dict()
+            fast = pp.PmmImputer.fit(X, donors=donors)
+            rng_a = np.random.default_rng(seed + 100)
+            rng_b = np.random.default_rng(seed + 100)
+            expected = scalar_pmm_transform(reference, matrix, rng_a)
+            got = fast.transform(matrix, rng_b)
+            np.testing.assert_array_equal(got, expected)
+            assert rng_b.bit_generator.state == rng_a.bit_generator.state
+
+    def test_cases_reach_every_branch(self):
+        X, test = pmm_case(0)
+        imputer = pp.PmmImputer.fit(X, donors=12)
+        assert set(imputer.coefs) == {2, 3}             # only the train gaps
+        imputer.transform(test, np.random.default_rng(0))
+        assert 4 in imputer.coefs                       # solved on demand
+        assert imputer.donor_preds[3].size < imputer.donors
+        assert np.unique(imputer.donor_preds[2]).size < imputer.donor_preds[2].size
+        A = np.column_stack([np.ones(2), test[:2][:, [0, 1, 4]]])
+        low, high = A @ imputer.coefs[3]
+        pool = imputer.donor_preds[3]
+        assert low < pool[0] and high > pool[-1]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_one_vector_draw_equals_scalar_draws(self, k):
+        a = np.random.default_rng(k)
+        b = np.random.default_rng(k)
+        scalar = [a.integers(k) for _ in range(1001)]
+        vector = b.integers(k, size=1001)
+        assert vector.tolist() == scalar
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random() == b.random()
+
+    def test_lazy_to_dict_bytes_equal_eager(self):
+        X, test = pmm_case(3)
+        eager = pp.PmmImputer.fit(X)
+        for j in range(X.shape[1]):
+            eager._solve(j)
+        lazy = pp.PmmImputer.fit(X)
+        lazy.transform(test, np.random.default_rng(1))
+        assert set(lazy.coefs) != set(range(X.shape[1]))
+        assert json.dumps(lazy.to_dict()) == json.dumps(eager.to_dict())
+
+    def test_loaded_imputer_transforms_like_the_fitted_one(self):
+        X, test = pmm_case(4)
+        fitted = pp.PmmImputer.fit(X)
+        loaded = pp.PmmImputer.from_dict(fitted.to_dict())
+        assert loaded.train is None
+        np.testing.assert_array_equal(loaded.transform(test, np.random.default_rng(5)),
+                                      fitted.transform(test, np.random.default_rng(5)))
+
+    def test_threads_sharing_a_fresh_imputer_match_serial(self):
+        X, test = pmm_case(5)
+        seeds = range(16)
+        serial_imputer = pp.PmmImputer.fit(X)
+        expected = [serial_imputer.transform(test, np.random.default_rng(s)) for s in seeds]
+        shared = pp.PmmImputer.fit(X)   # column 4 not solved yet
+        start = threading.Barrier(4)
+
+        def work(s):
+            if s < 4:
+                start.wait(timeout=30)
+            return shared.transform(test, np.random.default_rng(s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, s) for s in seeds]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
