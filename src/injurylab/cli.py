@@ -23,7 +23,7 @@ from .domain import (DataError, ParseError, parse_athletes, parse_injuries,
                      parse_sessions, split_by_season)
 from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
                       roc_curve, subgroup_auc)
-from .models import ModelSpec
+from .models import ModelSpec, candidate_grid
 from .models.base import ConvergenceError
 from .pipeline import (Cell, PipelineSettings, Protocol, assemble_modeling_data,
                        features_from_records, fit_imputer, learning_curve,
@@ -116,16 +116,12 @@ def _settings(cfg: RunConfig) -> PipelineSettings:
 
 def model_spec_for(cfg: RunConfig, family: str) -> ModelSpec:
     if family == "logistic_elastic_net":
-        grid = [{"lam": lam, "alpha": alpha}
-                for lam in cfg.elastic_net_lambdas
-                for alpha in cfg.elastic_net_alphas]
+        grid = candidate_grid(lam=cfg.elastic_net_lambdas, alpha=cfg.elastic_net_alphas)
     elif family == "svm_rbf":
-        grid = [{"C": c, "gamma": g} for c in cfg.svm_cost for g in cfg.svm_gamma]
+        grid = candidate_grid(C=cfg.svm_cost, gamma=cfg.svm_gamma)
     elif family == "random_forest":
-        grid = [{"n_trees": t, "max_features": m, "min_leaf": leaf}
-                for t in cfg.rf_trees
-                for m in cfg.rf_max_features
-                for leaf in cfg.rf_min_leaf]
+        grid = candidate_grid(n_trees=cfg.rf_trees, max_features=cfg.rf_max_features,
+                              min_leaf=cfg.rf_min_leaf)
     else:
         grid = None  # univariate scans all columns; GEE has nothing to tune
     return ModelSpec(family=family, grid=grid, folds=cfg.cv_folds,
@@ -472,15 +468,10 @@ def main(argv=None) -> int:
         sys.stdout.write(example_config())
         return 0
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.sims is not None:
-            cfg = dataclasses.replace(cfg, n_sims=args.sims)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out=args.out)
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
+        flags = {"seed": args.seed, "n_sims": args.sims, "out": args.out,
+                 "threads": args.threads}
+        cfg = dataclasses.replace(load_config(args.config), **{
+            name: value for name, value in flags.items() if value is not None})
         cfg.validate()
         os.makedirs(cfg.out, exist_ok=True)
         manifest = Manifest(cfg.out, args.command, cfg, config_path=args.config)

@@ -42,7 +42,7 @@ def _ar1_inverse_apply(block, alpha):
     """R(alpha)^-1 @ block for the AR(1) correlation matrix, tridiagonal form."""
     n = block.shape[0]
     if n == 1 or alpha == 0.0:
-        return block / 1.0 if alpha == 0.0 else block.copy()
+        return block.copy()
     denom = 1.0 - alpha * alpha
     out = np.empty_like(block)
     out[0] = (block[0] - alpha * block[1]) / denom

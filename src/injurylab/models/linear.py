@@ -17,7 +17,7 @@ from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family, sigmoid)
 from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
 
-LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4, 1, 7))
+LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 ALPHA_GRID = (0.0, 0.5, 1.0)
 
 ENET_TOL = 1e-7
@@ -183,7 +183,7 @@ def tune_elastic_net(X, y, grid, tol: float = ENET_TOL, max_iter: int = ENET_MAX
     candidates = coerce_grid(grid, lam=float, alpha=float)
     alphas = list(dict.fromkeys(params["alpha"] for params in candidates))
     candidates.sort(key=lambda params: (alphas.index(params["alpha"]), -params["lam"]))
-    return tune("logistic_elastic_net", candidates, fit, X, y, chain_state=True,
+    return tune("logistic_elastic_net", candidates, fit, X, y,
                 prefer=lambda prm: (prm["lam"], prm["alpha"]), **cv)
 
 

@@ -123,13 +123,15 @@ def grouped_fold_ids(y, groups, folds: int, rng: np.random.Generator) -> np.ndar
 
 def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
                    folds: int = CV_FOLDS, prefer=None, groups=None,
-                   group_folds: bool = False, chain_state: bool = False) -> CvResult:
+                   group_folds: bool = False) -> CvResult:
     """Score each candidate by out-of-fold AUC and select the best.
 
     ``fit_score_fn(params, train_idx, valid_idx, rng, state)`` must return
-    ``(validation_scores, state)``; ``state`` threads warm starts along the
-    candidate order within one fold when ``chain_state`` is set.  Candidates
-    whose fit fails on a fold get a NaN fold AUC and a warning.
+    ``(validation_scores, state)``.  Within one fold, each candidate gets the
+    state its predecessor returned (None for the first, and after a failed
+    fit), so a family can warm-start along the candidate order; a family
+    that returns None starts every fit cold.  Candidates whose fit fails on
+    a fold get a NaN fold AUC and a warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -159,11 +161,8 @@ def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
             except (ConvergenceError, np.linalg.LinAlgError) as exc:
                 warnings.warn(f"candidate {params} failed on fold {f}: {exc}",
                               stacklevel=2)
-                if chain_state:
-                    state = None
-                continue
-            if not chain_state:
                 state = None
+                continue
             fold_auc[c, f] = auc(scores, y_valid)
 
     results = [CandidateResult(params, fold_auc[c]) for c, params in enumerate(candidates)]
@@ -196,7 +195,7 @@ def coerce_grid(grid, **casts) -> list[dict]:
 
 def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator | None = None,
          folds: int = CV_FOLDS, prefer=None, groups=None, group_folds: bool = False,
-         chain_state: bool = False, feature_names=None) -> TrainedModel:
+         feature_names=None) -> TrainedModel:
     """Pick a family's candidate by cross-validated AUC and refit it on all rows.
 
     ``fit(params, X, y, rows, rng, state)`` fits the given rows of X and
@@ -223,8 +222,7 @@ def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator | None 
             return score(model_params, fold[1]), state
 
         cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
-                            prefer=prefer, groups=groups, group_folds=group_folds,
-                            chain_state=chain_state)
+                            prefer=prefer, groups=groups, group_folds=group_folds)
         selected = cv.selected
         cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
                    "cv_mean_auc": cv.selected_mean_auc}

@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .domain import SplitDataset, build_daily_panel, split_by_season
-from .load_metrics import FeatureMatrix, build_feature_matrix, build_load_series
+from .domain import (DEFAULT_LAG_DAYS, SplitDataset, build_daily_panel,
+                     split_by_season)
+from .load_metrics import (MONOTONY_CAP, FeatureMatrix, build_feature_matrix,
+                           build_load_series)
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
 from .models.base import model_from_dict, model_to_dict
@@ -108,8 +110,9 @@ def assemble_modeling_data(split: SplitDataset, features: FeatureMatrix) -> Mode
 
 
 def features_from_records(sessions, injuries, athletes, seed: int = 0,
-                          lag_days: int = 4, monotony_cap: float = 10.0,
-                          pmm_donors: int = 5):
+                          lag_days: int = DEFAULT_LAG_DAYS,
+                          monotony_cap: float = MONOTONY_CAP,
+                          pmm_donors: int = preprocess.PMM_DONORS):
     """Records -> imputed sessions -> panel -> load series -> features.
 
     Returns (panel, features).  Raw missing session fields are filled once by
@@ -124,12 +127,10 @@ def features_from_records(sessions, injuries, athletes, seed: int = 0,
 
 
 def modeling_data_from_records(sessions, injuries, athletes, train_seasons,
-                               test_seasons, seed: int = 0, lag_days: int = 4,
-                               monotony_cap: float = 10.0, pmm_donors: int = 5):
-    """Records -> features_from_records -> split; returns (panel, features,
-    split, ModelingData)."""
-    panel, features = features_from_records(sessions, injuries, athletes, seed,
-                                            lag_days, monotony_cap, pmm_donors)
+                               test_seasons, **options):
+    """Records -> features_from_records, given the keyword ``options`` ->
+    split; returns (panel, features, split, ModelingData)."""
+    panel, features = features_from_records(sessions, injuries, athletes, **options)
     split = split_by_season(panel, train_seasons, test_seasons)
     return panel, features, split, assemble_modeling_data(split, features)
 

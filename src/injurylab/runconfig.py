@@ -1,18 +1,25 @@
 """Run configuration: one INI-style file drives every CLI command.
 
-Every scalar can be overridden by a command-line flag; list values are
-comma-separated.  See ``example_config`` for a complete template.
+Every ``RunConfig`` field but ``synth_overrides`` is one option of one INI
+section, listed in ``_SECTIONS``; list values are comma-separated.  The
+command-line flags ``--seed``, ``--sims``, ``--out`` and ``--threads``
+override ``[run] seed``, ``[simulate] n_sims``, ``[run] out`` and
+``[run] threads``.  See ``example_config`` for a complete template.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
-from .domain import OUTCOME_KEYS
-from .models.base import FAMILIES
+from .domain import DEFAULT_LAG_DAYS, OUTCOME_KEYS
+from .load_metrics import MONOTONY_CAP
+from .models import (ALPHA_GRID, C_GRID, CV_FOLDS, FAMILIES, GAMMA_GRID, LAMBDA_GRID,
+                     RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES)
 from .pipeline import PROTOCOL_NAMES
+from .preprocess import PCA_THRESHOLD, PMM_DONORS, SMOTE_NEIGHBORS
 
 
 class ConfigError(ValueError):
@@ -30,24 +37,24 @@ class RunConfig:
     test_seasons: tuple[int, ...] = (2016,)
     # [outcomes]
     outcomes: tuple[str, ...] = OUTCOME_KEYS
-    lag_days: int = 4
+    lag_days: int = DEFAULT_LAG_DAYS
     # [preprocess]
     protocols: tuple[str, ...] = ("none",)
-    pca_threshold: float = 0.95
-    pmm_donors: int = 5
-    smote_k: int = 5
+    pca_threshold: float = PCA_THRESHOLD
+    pmm_donors: int = PMM_DONORS
+    smote_k: int = SMOTE_NEIGHBORS
     smote_oversample_pct: float | None = None
-    monotony_cap: float = 10.0
+    monotony_cap: float = MONOTONY_CAP
     # [models]
     families: tuple[str, ...] = FAMILIES
-    elastic_net_lambdas: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-    elastic_net_alphas: tuple[float, ...] = (0.0, 0.5, 1.0)
-    svm_cost: tuple[float, ...] = (0.1, 1.0, 10.0)
-    svm_gamma: tuple[float, ...] = (0.01, 0.1, 1.0)
-    rf_trees: tuple[int, ...] = (500,)
-    rf_max_features: tuple[str, ...] = ("sqrt", "third")
-    rf_min_leaf: tuple[int, ...] = (1,)
-    cv_folds: int = 10
+    elastic_net_lambdas: tuple[float, ...] = LAMBDA_GRID
+    elastic_net_alphas: tuple[float, ...] = ALPHA_GRID
+    svm_cost: tuple[float, ...] = C_GRID
+    svm_gamma: tuple[float, ...] = GAMMA_GRID
+    rf_trees: tuple[int, ...] = (RF_TREES,)
+    rf_max_features: tuple[str, ...] = RF_MAX_FEATURES
+    rf_min_leaf: tuple[int, ...] = (RF_MIN_LEAF,)
+    cv_folds: int = CV_FOLDS
     group_cv: bool = False
     # [evaluate]
     cost_ratios: tuple[float, ...] = (50.0, 100.0, 1000.0)
@@ -77,27 +84,31 @@ class RunConfig:
             raise ConfigError("train and test season sets overlap")
         if not self.train_seasons or not self.test_seasons:
             raise ConfigError("train and test season sets must be nonempty")
-        if self.n_sims < 1:
-            raise ConfigError("n_sims must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.lag_days < 0:
-            raise ConfigError("lag_days must be >= 0")
-        for outcome in self.outcomes:
-            if outcome not in OUTCOME_KEYS:
-                raise ConfigError(f"unknown outcome {outcome!r} (expected {OUTCOME_KEYS})")
-        for protocol in self.protocols:
-            if protocol not in PROTOCOL_NAMES:
-                raise ConfigError(f"unknown protocol {protocol!r} (expected {PROTOCOL_NAMES})")
-        for family in self.families:
-            if family not in FAMILIES:
-                raise ConfigError(f"unknown model family {family!r} (expected {FAMILIES})")
-        if self.lc_family not in FAMILIES:
-            raise ConfigError(f"unknown learning-curve family {self.lc_family!r}")
-        if self.lc_protocol not in PROTOCOL_NAMES:
-            raise ConfigError(f"unknown learning-curve protocol {self.lc_protocol!r}")
-        if self.lc_outcome not in OUTCOME_KEYS:
-            raise ConfigError(f"unknown learning-curve outcome {self.lc_outcome!r}")
+        for name, low in (("n_sims", 1), ("threads", 1), ("lag_days", 0),
+                          ("pmm_donors", 1), ("smote_k", 1), ("cv_folds", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        if self.smote_oversample_pct is not None and self.smote_oversample_pct < 0:
+            raise ConfigError("smote_oversample_pct must be >= 0")
+        if not all(ratio > 0 for ratio in self.cost_ratios):
+            raise ConfigError("cost_ratios must all be > 0")
+        if not self.lc_sizes or min(self.lc_sizes) < 10:
+            raise ConfigError("[learning_curve] sizes must be nonempty and each >= 10")
+        if self.lc_repeats < 1:
+            raise ConfigError("[learning_curve] repeats must be >= 1")
+        for name, noun, allowed in (("outcomes", "outcome", OUTCOME_KEYS),
+                                    ("protocols", "protocol", PROTOCOL_NAMES),
+                                    ("families", "model family", FAMILIES)):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
+            for value in getattr(self, name):
+                if value not in allowed:
+                    raise ConfigError(f"unknown {noun} {value!r} (expected {allowed})")
+        for noun, value, allowed in (("family", self.lc_family, FAMILIES),
+                                     ("protocol", self.lc_protocol, PROTOCOL_NAMES),
+                                     ("outcome", self.lc_outcome, OUTCOME_KEYS)):
+            if value not in allowed:
+                raise ConfigError(f"unknown learning-curve {noun} {value!r}")
         if self.operating_point_source not in ("test", "train"):
             raise ConfigError("operating_point_source must be 'test' or 'train'")
         if not 0.0 < self.pca_threshold <= 1.0:
@@ -111,30 +122,35 @@ class RunConfig:
                 raise ConfigError(f"input file not found: {path}")
 
 
+#: Every INI section, in template order, with its fields in option order.  A
+#: field's option is its name less the section's prefix in ``_PREFIXES``.
+_SECTIONS = {
+    "inputs": ("sessions", "injuries", "athletes"),
+    "split": ("train_seasons", "test_seasons"),
+    "outcomes": ("outcomes", "lag_days"),
+    "preprocess": ("protocols", "pca_threshold", "pmm_donors", "smote_k",
+                   "smote_oversample_pct", "monotony_cap"),
+    "models": ("families", "elastic_net_lambdas", "elastic_net_alphas", "svm_cost",
+               "svm_gamma", "rf_trees", "rf_max_features", "rf_min_leaf", "cv_folds",
+               "group_cv"),
+    "evaluate": ("cost_ratios", "operating_point_source"),
+    "simulate": ("n_sims",),
+    "learning_curve": ("lc_sizes", "lc_repeats", "lc_family", "lc_protocol", "lc_outcome"),
+    "synth": ("synth_preset", "synth_n_athletes", "synth_seasons", "synth_season_weeks",
+              "synth_missing_rate"),
+    "run": ("seed", "out", "threads"),
+}
+_PREFIXES = {"learning_curve": "lc_", "synth": "synth_"}
+#: relative paths in a config file are relative to the file's directory
+_PATHS = ("sessions", "injuries", "athletes", "out")
+
+
+def _option(section: str, name: str) -> str:
+    return name.removeprefix(_PREFIXES.get(section, ""))
+
+
 def _split_list(raw: str) -> list[str]:
     return [token.strip() for token in raw.split(",") if token.strip()]
-
-
-def _get(parser, section, option, cast, default):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for [{section}] {option}: {raw!r} ({exc})") from None
-
-
-def _ints(raw):
-    return tuple(int(token) for token in _split_list(raw))
-
-
-def _floats(raw):
-    return tuple(float(token) for token in _split_list(raw))
-
-
-def _strs(raw):
-    return tuple(_split_list(raw))
 
 
 def _bool(raw):
@@ -151,6 +167,30 @@ def _opt_float(raw):
     return None if token in ("", "none", "auto") else float(token)
 
 
+def _caster(hint):
+    """The parser of one INI value into a field annotated ``hint``."""
+    if hint is bool:
+        return _bool
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda raw: tuple(item(token) for token in _split_list(raw))
+    if type(None) in get_args(hint):
+        return _opt_float
+    return hint
+
+
+_CASTS = {name: _caster(hint) for name, hint in get_type_hints(RunConfig).items()}
+
+
+def _format(value) -> str:
+    """An INI value that ``_CASTS`` reads back as ``value``."""
+    if isinstance(value, tuple):
+        return ", ".join(_format(item) for item in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "none" if value is None else str(value)
+
+
 def load_config(path: str) -> RunConfig:
     """Read an INI config; unspecified options keep their defaults."""
     if not os.path.exists(path):
@@ -161,132 +201,39 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
 
-    cfg = RunConfig()
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
-
-    cfg = replace(
-        cfg,
-        sessions=resolve(_get(parser, "inputs", "sessions", str, cfg.sessions)),
-        injuries=resolve(_get(parser, "inputs", "injuries", str, cfg.injuries)),
-        athletes=resolve(_get(parser, "inputs", "athletes", str, cfg.athletes)),
-        train_seasons=_get(parser, "split", "train_seasons", _ints, cfg.train_seasons),
-        test_seasons=_get(parser, "split", "test_seasons", _ints, cfg.test_seasons),
-        outcomes=_get(parser, "outcomes", "outcomes", _strs, cfg.outcomes),
-        lag_days=_get(parser, "outcomes", "lag_days", int, cfg.lag_days),
-        protocols=_get(parser, "preprocess", "protocols", _strs, cfg.protocols),
-        pca_threshold=_get(parser, "preprocess", "pca_threshold", float, cfg.pca_threshold),
-        pmm_donors=_get(parser, "preprocess", "pmm_donors", int, cfg.pmm_donors),
-        smote_k=_get(parser, "preprocess", "smote_k", int, cfg.smote_k),
-        smote_oversample_pct=_get(parser, "preprocess", "smote_oversample_pct",
-                                  _opt_float, cfg.smote_oversample_pct),
-        monotony_cap=_get(parser, "preprocess", "monotony_cap", float, cfg.monotony_cap),
-        families=_get(parser, "models", "families", _strs, cfg.families),
-        elastic_net_lambdas=_get(parser, "models", "elastic_net_lambdas", _floats,
-                                 cfg.elastic_net_lambdas),
-        elastic_net_alphas=_get(parser, "models", "elastic_net_alphas", _floats,
-                                cfg.elastic_net_alphas),
-        svm_cost=_get(parser, "models", "svm_cost", _floats, cfg.svm_cost),
-        svm_gamma=_get(parser, "models", "svm_gamma", _floats, cfg.svm_gamma),
-        rf_trees=_get(parser, "models", "rf_trees", _ints, cfg.rf_trees),
-        rf_max_features=_get(parser, "models", "rf_max_features", _strs,
-                             cfg.rf_max_features),
-        rf_min_leaf=_get(parser, "models", "rf_min_leaf", _ints, cfg.rf_min_leaf),
-        cv_folds=_get(parser, "models", "cv_folds", int, cfg.cv_folds),
-        group_cv=_get(parser, "models", "group_cv", _bool, cfg.group_cv),
-        cost_ratios=_get(parser, "evaluate", "cost_ratios", _floats, cfg.cost_ratios),
-        operating_point_source=_get(parser, "evaluate", "operating_point_source",
-                                    str, cfg.operating_point_source),
-        n_sims=_get(parser, "simulate", "n_sims", int, cfg.n_sims),
-        lc_sizes=_get(parser, "learning_curve", "sizes", _ints, cfg.lc_sizes),
-        lc_repeats=_get(parser, "learning_curve", "repeats", int, cfg.lc_repeats),
-        lc_family=_get(parser, "learning_curve", "family", str, cfg.lc_family),
-        lc_protocol=_get(parser, "learning_curve", "protocol", str, cfg.lc_protocol),
-        lc_outcome=_get(parser, "learning_curve", "outcome", str, cfg.lc_outcome),
-        synth_preset=_get(parser, "synth", "preset", str, cfg.synth_preset),
-        synth_n_athletes=_get(parser, "synth", "n_athletes", int, cfg.synth_n_athletes),
-        synth_seasons=_get(parser, "synth", "seasons", _ints, cfg.synth_seasons),
-        synth_season_weeks=_get(parser, "synth", "season_weeks", int,
-                                cfg.synth_season_weeks),
-        synth_missing_rate=_get(parser, "synth", "missing_rate", float,
-                                cfg.synth_missing_rate),
-        seed=_get(parser, "run", "seed", int, cfg.seed),
-        out=resolve(_get(parser, "run", "out", str, cfg.out)),
-        threads=_get(parser, "run", "threads", int, cfg.threads),
-    )
+    values = {}
+    for section, names in _SECTIONS.items():
+        for name in names:
+            option = _option(section, name)
+            if not parser.has_option(section, option):
+                continue
+            raw = parser.get(section, option)
+            try:
+                values[name] = _CASTS[name](raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"bad value for [{section}] {option}: {raw!r} ({exc})") from None
     # free-form hazard overrides for synth_preset = custom
     if parser.has_section("synth"):
-        known = {"preset", "n_athletes", "seasons", "season_weeks", "missing_rate"}
-        overrides = {}
-        for option in parser.options("synth"):
-            if option not in known:
-                overrides[option] = parser.get("synth", option)
-        cfg = replace(cfg, synth_overrides=overrides)
+        known = {_option("synth", name) for name in _SECTIONS["synth"]}
+        values["synth_overrides"] = {option: parser.get("synth", option)
+                                     for option in parser.options("synth")
+                                     if option not in known}
+    base = os.path.dirname(os.path.abspath(path))
+    for name in _PATHS:
+        p = values.get(name, getattr(RunConfig, name))
+        values[name] = p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def example_config() -> str:
     """Template config covering every section, with the default values."""
-    return """\
-[inputs]
-sessions = sessions.csv
-injuries = injuries.csv
-athletes = athletes.csv
-
-[split]
-train_seasons = 2014, 2015
-test_seasons = 2016
-
-[outcomes]
-outcomes = nc, nctl, hs, nc_lag, nctl_lag, hs_lag
-lag_days = 4
-
-[preprocess]
-protocols = none
-pca_threshold = 0.95
-pmm_donors = 5
-smote_k = 5
-smote_oversample_pct = none
-monotony_cap = 10.0
-
-[models]
-families = logistic_elastic_net, univariate_logistic, gee_ar1, random_forest, svm_rbf
-elastic_net_lambdas = 1e-4, 1e-3, 1e-2, 1e-1, 1, 10
-elastic_net_alphas = 0, 0.5, 1
-svm_cost = 0.1, 1, 10
-svm_gamma = 0.01, 0.1, 1
-rf_trees = 500
-rf_max_features = sqrt, third
-rf_min_leaf = 1
-cv_folds = 10
-group_cv = false
-
-[evaluate]
-cost_ratios = 50, 100, 1000
-operating_point_source = test
-
-[simulate]
-n_sims = 50
-
-[learning_curve]
-sizes = 460, 1000, 2000, 4000
-repeats = 5
-family = logistic_elastic_net
-protocol = none
-outcome = hs_lag
-
-[synth]
-preset = signal
-n_athletes = 30
-seasons = 2014, 2015, 2016
-season_weeks = 26
-missing_rate = 0.02
-
-[run]
-seed = 20140301
-out = out
-threads = 1
-"""
+    cfg = RunConfig()
+    blocks = []
+    for section, names in _SECTIONS.items():
+        lines = [f"[{section}]"]
+        lines += [f"{_option(section, name)} = {_format(getattr(cfg, name))}" for name in names]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

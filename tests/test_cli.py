@@ -1,11 +1,16 @@
 import csv
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from injurylab import pipeline
-from injurylab.cli import main
+from injurylab import models, pipeline
+from injurylab.cli import main, model_spec_for
+from injurylab.models import ModelSpec
+from injurylab.runconfig import (_SECTIONS, ConfigError, RunConfig, example_config,
+                                 load_config)
 
 BASE_CONFIG = """\
 [inputs]
@@ -250,3 +255,53 @@ def test_full_grid_summary_has_one_row_per_cell(tmp_path):
     assert len(rows) == 1 + 5 * 6
     if code == 3:
         assert (out / "simulation_status.csv").exists()
+
+
+class TestConfigTable:
+    """One table reads, validates and prints the config; no model is fitted."""
+
+    def test_template_loads_back_as_the_defaults(self, tmp_path):
+        path = tmp_path / "template.ini"
+        path.write_text(example_config())
+        loaded, default = load_config(str(path)), RunConfig()
+        for field in dataclasses.fields(RunConfig):
+            expected = getattr(default, field.name)
+            if field.name in ("sessions", "injuries", "athletes", "out"):
+                expected = os.path.join(str(tmp_path), expected)
+            assert repr(getattr(loaded, field.name)) == repr(expected), field.name
+
+    def test_every_field_listed_once(self):
+        listed = [name for names in _SECTIONS.values() for name in names]
+        fields = [field.name for field in dataclasses.fields(RunConfig)]
+        assert sorted(listed) == sorted(set(fields) - {"synth_overrides"})
+
+    @pytest.mark.parametrize("family, tuner", [
+        ("logistic_elastic_net", "tune_elastic_net"),
+        ("svm_rbf", "tune_svm"),
+        ("random_forest", "tune_random_forest"),
+    ])
+    def test_default_grid_is_the_library_default(self, family, tuner, monkeypatch):
+        monkeypatch.setattr(models, tuner, lambda X, y, grid, **cv: grid)
+        X, y = np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])
+        library = models.fit_model(ModelSpec(family), X, y, np.random.default_rng(0))
+        assert model_spec_for(RunConfig(), family).grid == library
+
+    @pytest.mark.parametrize("section, setting, option", [
+        ("models", "cv_folds = 1", "cv_folds"),
+        ("preprocess", "pmm_donors = 0", "pmm_donors"),
+        ("preprocess", "smote_k = 0", "smote_k"),
+        ("preprocess", "smote_oversample_pct = -10", "smote_oversample_pct"),
+        ("evaluate", "cost_ratios = 50, 0", "cost_ratios"),
+        ("learning_curve", "repeats = 0", "repeats"),
+        ("learning_curve", "sizes =", "sizes"),
+        ("learning_curve", "sizes = 5, 80", "sizes"),
+        ("models", "families =", "families"),
+        ("outcomes", "outcomes =", "outcomes"),
+        ("preprocess", "protocols =", "protocols"),
+    ])
+    def test_bad_setting_rejected(self, tmp_path, section, setting, option):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{setting}\n")
+        with pytest.raises(ConfigError, match=option):
+            load_config(str(path))
+        assert main(["features", "--config", str(path)]) == 2

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from injurylab.models import (ModelSpec, candidate_grid, cross_validate,
+from injurylab.models import (ConvergenceError, ModelSpec, candidate_grid, cross_validate,
                               effective_folds, fit_logistic_elastic_net,
                               fit_logistic_irls, fit_model, grouped_fold_ids,
                               sigmoid, stratified_fold_ids)
@@ -104,6 +104,22 @@ class TestCrossValidate:
                                 constant_scores, rng, folds=4,
                                 prefer=lambda prm: -prm["size"])
         assert result.selected == {"size": 1}
+
+    def test_state_passes_along_and_resets_after_a_failure(self, rng):
+        X = rng.normal(size=(40, 1))
+        y = (rng.random(40) < 0.5).astype(float)
+        received = []
+
+        def chained(params, train_idx, valid_idx, child, state):
+            received.append((params["step"], state))
+            if params["step"] == 1:
+                raise ConvergenceError("no")
+            return X[valid_idx, 0], params["step"]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cross_validate([{"step": s} for s in range(4)], X, y, chained, rng, folds=2)
+        assert received == [(0, None), (1, 0), (2, None), (3, 2)] * 2
 
 
 class TestFitModelDispatch:
