@@ -3,7 +3,9 @@
 Subcommands: features, synth, train, predict, evaluate, simulate,
 learning-curve, describe.  Every command reads one config file, writes CSV
 reports plus a plain-text manifest under the output directory, and returns a
-nonzero exit code on any error (3 when some simulation cells are incomplete).
+nonzero exit code on any error.  train, evaluate, simulate and learning-curve
+run their cells through `pipeline.run_tasks`: a run that fails is listed in a
+status CSV, the runs that succeeded are written, and the exit code is 3.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from .domain import (DataError, ParseError, parse_athletes, parse_injuries,
 from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
                       roc_curve, subgroup_auc)
 from .models import ModelSpec, candidate_grid
-from .models.base import ConvergenceError
-from .pipeline import (Cell, PipelineSettings, Protocol, assemble_modeling_data,
-                       features_from_records, fit_imputer, learning_curve,
-                       load_bundle, run_pipeline_once, run_simulations,
-                       save_bundle, stream_rng)
+from .pipeline import (Cell, PipelineSettings, Protocol, Task,
+                       assemble_modeling_data, features_from_records,
+                       learning_curve, load_bundle, pinned_blas_threads,
+                       run_simulations, run_tasks, save_bundle, stream_rng)
 from .runconfig import ConfigError, RunConfig, example_config, load_config
 from .synthdata import (CohortConfig, generate_cohort, null_config,
                         signal_config, write_cohort_csvs)
@@ -58,11 +59,14 @@ def _fmt_exact(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(manifest, name, header, rows) -> None:
+    """Write one CSV report under the output directory and record it."""
+    path = os.path.join(manifest.out_dir, name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    manifest.add_output(path)
 
 
 def _sha256(path) -> str:
@@ -139,9 +143,11 @@ def _load_modeling_inputs(cfg: RunConfig):
                                  pmm_donors=cfg.pmm_donors)
 
 
-def _split_data(cfg: RunConfig, panel, features):
+def _modeling_data(cfg: RunConfig):
+    """The panel, its season split and the split's ModelingData."""
+    panel, features = _load_modeling_inputs(cfg)
     split = split_by_season(panel, cfg.train_seasons, cfg.test_seasons)
-    return split, assemble_modeling_data(split, features)
+    return panel, split, assemble_modeling_data(split, features)
 
 
 def _cells(cfg: RunConfig):
@@ -154,13 +160,34 @@ def _cells(cfg: RunConfig):
     ]
 
 
+def _run_cells(cfg: RunConfig, data, keep, **options):
+    """Run every configured cell once, as simulation 0, through `run_tasks`;
+    returns the kept values of the runs that succeeded and the status rows
+    of those that failed."""
+    tasks = [Task(cell, 0) for cell in _cells(cfg)]
+    results = run_tasks(data, tasks, cfg.seed, keep, _settings(cfg), **options)
+    failed = [[*task.cell.key, task.sim, result]
+              for task, result in zip(tasks, results) if isinstance(result, str)]
+    return [result for result in results if not isinstance(result, str)], failed
+
+
+def _finish_runs(manifest: Manifest, name, index_columns, failed) -> int:
+    """Record the BLAS threads of a command's runs and list its ``failed``
+    runs, if any, in the status CSV ``name``; returns 3 if some run failed."""
+    manifest.lines.append(f"blas_threads={pinned_blas_threads() or 'unpinned'}")
+    if not failed:
+        return 0
+    _write_csv(manifest, name, ["family", "outcome", "protocol", *index_columns,
+                                "error"], failed)
+    return 3
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
 def cmd_features(cfg: RunConfig, manifest: Manifest) -> int:
     panel, features = _load_modeling_inputs(cfg)
-    path = os.path.join(cfg.out, "features.csv")
     header = (["athlete_id", "date", "season", "new_player"] + features.columns
               + list(panel.labels.keys()))
     rows = []
@@ -170,8 +197,7 @@ def cmd_features(cfg: RunConfig, manifest: Manifest) -> int:
         row += [_fmt_exact(v) for v in features.values[i]]
         row += [int(panel.labels[key][i]) for key in panel.labels]
         rows.append(row)
-    _write_csv(path, header, rows)
-    manifest.add_output(path)
+    _write_csv(manifest, "features.csv", header, rows)
     return 0
 
 
@@ -185,8 +211,7 @@ def cmd_synth(cfg: RunConfig, manifest: Manifest) -> int:
     elif cfg.synth_preset == "null":
         cohort_cfg = null_config(seed=cfg.seed, **common)
     else:
-        overrides = {key: float(value) for key, value in cfg.synth_overrides.items()}
-        cohort_cfg = CohortConfig(seed=cfg.seed, **common, **overrides)
+        cohort_cfg = CohortConfig(seed=cfg.seed, **common, **cfg.cohort_overrides())
     cohort = generate_cohort(cohort_cfg)
     paths = write_cohort_csvs(cohort, cfg.out)
     for path in paths.values():
@@ -195,36 +220,28 @@ def cmd_synth(cfg: RunConfig, manifest: Manifest) -> int:
 
 
 def cmd_train(cfg: RunConfig, manifest: Manifest) -> int:
-    panel, features = _load_modeling_inputs(cfg)
-    _, data = _split_data(cfg, panel, features)
-    settings = _settings(cfg)
-    imputer = fit_imputer(data.X_train, settings, data.feature_names)
-    summary_rows = []
-    for cell in _cells(cfg):
-        run = run_pipeline_once(
-            data.X_train, data.y_train[cell.outcome],
-            data.X_test, data.y_test[cell.outcome],
-            cell.spec, cell.protocol, settings, cfg.seed, sim_index=0,
-            groups_train=data.groups_train, feature_names=data.feature_names,
-            imputer=imputer,
-        )
+    data = _modeling_data(cfg)[2]
+
+    def save(task, run):
+        cell = task.cell
         name = f"model__{cell.spec.family}__{cell.outcome}__{cell.protocol.name}.json"
         path = os.path.join(cfg.out, name)
         save_bundle(path, run.bundle, run.model,
                     extra={"outcome": cell.outcome,
                            "protocol": cell.protocol.name, "seed": cfg.seed})
-        manifest.add_output(path)
-        summary_rows.append([
-            cell.spec.family, cell.outcome, cell.protocol.name,
-            json.dumps(run.model.hyperparams, sort_keys=True),
+        return path, [
+            *cell.key, json.dumps(run.model.hyperparams, sort_keys=True),
             _fmt(run.model.metadata.get("cv_mean_auc", float("nan"))),
             _fmt(run.test_auc), run.n_model_rows,
-        ])
-    path = os.path.join(cfg.out, "training_summary.csv")
-    _write_csv(path, ["family", "outcome", "protocol", "hyperparams",
-                      "cv_mean_auc", "test_auc", "n_model_rows"], summary_rows)
-    manifest.add_output(path)
-    return 0
+        ]
+
+    done, failed = _run_cells(cfg, data, save)
+    for path, _ in done:
+        manifest.add_output(path)
+    _write_csv(manifest, "training_summary.csv",
+               ["family", "outcome", "protocol", "hyperparams", "cv_mean_auc",
+                "test_auc", "n_model_rows"], [row for _, row in done])
+    return _finish_runs(manifest, "training_status.csv", ["sim"], failed)
 
 
 def cmd_predict(cfg: RunConfig, manifest: Manifest, model_path: str) -> int:
@@ -235,14 +252,12 @@ def cmd_predict(cfg: RunConfig, manifest: Manifest, model_path: str) -> int:
     rng = stream_rng(cfg.seed, 0, "impute")
     transformed = bundle.transform(features.values, rng)
     scores = model.score(transformed)
-    path = os.path.join(cfg.out, "scores.csv")
     rows = [
         [panel.athlete_ids[i], panel.dates[i].isoformat(), int(panel.seasons[i]),
          _fmt_exact(float(scores[i]))]
         for i in range(len(panel))
     ]
-    _write_csv(path, ["athlete_id", "date", "season", "score"], rows)
-    manifest.add_output(path)
+    _write_csv(manifest, "scores.csv", ["athlete_id", "date", "season", "score"], rows)
     return 0
 
 
@@ -263,20 +278,13 @@ def _train_threshold_point(train_scores, y_train, test_scores, y_test,
 
 
 def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
-    panel, features = _load_modeling_inputs(cfg)
-    _, data = _split_data(cfg, panel, features)
-    settings = _settings(cfg)
-    imputer = fit_imputer(data.X_train, settings, data.feature_names)
-    roc_rows, op_rows, group_rows = [], [], []
-    for cell in _cells(cfg):
+    data = _modeling_data(cfg)[2]
+
+    def evaluate(task, run):
+        cell = task.cell
+        roc_rows, op_rows, group_rows = [], [], []
         y_test = data.y_test[cell.outcome]
-        run = run_pipeline_once(
-            data.X_train, data.y_train[cell.outcome], data.X_test, y_test,
-            cell.spec, cell.protocol, settings, cfg.seed, sim_index=0,
-            groups_train=data.groups_train, feature_names=data.feature_names,
-            compute_train_auc=True, imputer=imputer,
-        )
-        tag = [cell.spec.family, cell.outcome, cell.protocol.name]
+        tag = list(cell.key)
         curve = roc_curve(run.test_scores, y_test)
         for threshold, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
             roc_rows.append(tag + [_fmt(float(threshold)), _fmt(float(fpr)),
@@ -302,29 +310,28 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
             group_rows.append(tag + [label, res.n, res.n_pos, res.n_neg,
                                      _fmt(res.auc) if res.auc is not None else "",
                                      res.note])
+        return roc_rows, op_rows, group_rows
+
+    done, failed = _run_cells(cfg, data, evaluate, compute_train_auc=True)
     outputs = [
-        ("roc_points.csv", ["family", "outcome", "protocol", "threshold", "fpr", "tpr"],
-         roc_rows),
+        ("roc_points.csv", ["family", "outcome", "protocol", "threshold", "fpr", "tpr"]),
         ("operating_points.csv",
          ["family", "outcome", "protocol", "cost_ratio", "threshold", "tpr", "fpr",
           "lr_pos", "lr_neg", "p_injury_given_pos", "p_injury_given_neg",
-          "expected_cost"], op_rows),
+          "expected_cost"]),
         ("subgroups.csv", ["family", "outcome", "protocol", "group", "n", "n_pos",
-                           "n_neg", "auc", "note"], group_rows),
+                           "n_neg", "auc", "note"]),
     ]
-    for name, header, rows in outputs:
-        path = os.path.join(cfg.out, name)
-        _write_csv(path, header, rows)
-        manifest.add_output(path)
-    return 0
+    for k, (name, header) in enumerate(outputs):
+        _write_csv(manifest, name, header,
+                   [row for tables in done for row in tables[k]])
+    return _finish_runs(manifest, "evaluation_status.csv", ["sim"], failed)
 
 
 def cmd_simulate(cfg: RunConfig, manifest: Manifest) -> int:
-    panel, features = _load_modeling_inputs(cfg)
-    _, data = _split_data(cfg, panel, features)
+    data = _modeling_data(cfg)[2]
     summary = run_simulations(data, _cells(cfg), cfg.n_sims, cfg.seed,
                               settings=_settings(cfg), threads=cfg.threads)
-    manifest.lines.append(f"blas_threads={summary.blas_threads or 'unpinned'}")
     summary_rows, auc_rows, status_rows = [], [], []
     for cell in summary.cells:
         summary_rows.append([
@@ -340,46 +347,38 @@ def cmd_simulate(cfg: RunConfig, manifest: Manifest) -> int:
         for sim, message in sorted(cell.errors.items()):
             status_rows.append([cell.family, cell.outcome, cell.protocol,
                                 sim, message])
-    path = os.path.join(cfg.out, "simulation_summary.csv")
-    _write_csv(path, ["family", "outcome", "protocol", "n_sims", "n_completed",
-                      "mean_auc", "sd_auc", "single_run", "status"], summary_rows)
-    manifest.add_output(path)
-    path = os.path.join(cfg.out, "simulation_aucs.csv")
-    _write_csv(path, ["family", "outcome", "protocol", "sim", "auc"], auc_rows)
-    manifest.add_output(path)
-    if status_rows:
-        path = os.path.join(cfg.out, "simulation_status.csv")
-        _write_csv(path, ["family", "outcome", "protocol", "sim", "error"], status_rows)
-        manifest.add_output(path)
-        return 3
-    return 0
+    _write_csv(manifest, "simulation_summary.csv",
+               ["family", "outcome", "protocol", "n_sims", "n_completed", "mean_auc",
+                "sd_auc", "single_run", "status"], summary_rows)
+    _write_csv(manifest, "simulation_aucs.csv",
+               ["family", "outcome", "protocol", "sim", "auc"], auc_rows)
+    return _finish_runs(manifest, "simulation_status.csv", ["sim"], status_rows)
 
 
 def cmd_learning_curve(cfg: RunConfig, manifest: Manifest) -> int:
-    panel, features = _load_modeling_inputs(cfg)
-    _, data = _split_data(cfg, panel, features)
+    data = _modeling_data(cfg)[2]
     points = learning_curve(
         data, cfg.lc_outcome, model_spec_for(cfg, cfg.lc_family),
         Protocol.parse(cfg.lc_protocol), cfg.lc_sizes, cfg.lc_repeats,
         cfg.seed, settings=_settings(cfg),
     )
+    tag = [cfg.lc_family, cfg.lc_outcome, cfg.lc_protocol]
     rows = [
-        [cfg.lc_family, cfg.lc_outcome, cfg.lc_protocol, point.size,
-         len(point.train_aucs), _fmt(point.train_mean), _fmt(point.train_sd),
-         _fmt(point.test_mean), _fmt(point.test_sd)]
+        tag + [point.size, len(point.train_aucs), _fmt(point.train_mean),
+               _fmt(point.train_sd), _fmt(point.test_mean), _fmt(point.test_sd)]
         for point in points
     ]
-    path = os.path.join(cfg.out, "learning_curve.csv")
-    _write_csv(path, ["family", "outcome", "protocol", "size", "repeats",
-                      "train_auc_mean", "train_auc_sd", "test_auc_mean",
-                      "test_auc_sd"], rows)
-    manifest.add_output(path)
-    return 0
+    _write_csv(manifest, "learning_curve.csv",
+               ["family", "outcome", "protocol", "size", "repeats", "train_auc_mean",
+                "train_auc_sd", "test_auc_mean", "test_auc_sd"], rows)
+    failed = [tag + [point.size, repeat, message]
+              for point in points for repeat, message in sorted(point.errors.items())]
+    return _finish_runs(manifest, "learning_curve_status.csv",
+                        ["size", "repeat"], failed)
 
 
 def cmd_describe(cfg: RunConfig, manifest: Manifest) -> int:
-    panel, features = _load_modeling_inputs(cfg)
-    split, data = _split_data(cfg, panel, features)
+    panel, split, data = _modeling_data(cfg)
     rows = []
     for j, name in enumerate(data.feature_names):
         train_col = data.X_train[:, j]
@@ -395,10 +394,9 @@ def cmd_describe(cfg: RunConfig, manifest: Manifest) -> int:
             _fmt(float(np.median(test_obs))) if test_obs.size else "",
             effect, train_obs.size, test_obs.size,
         ])
-    path = os.path.join(cfg.out, "describe.csv")
-    _write_csv(path, ["feature", "train_median", "test_median", "rank_biserial",
-                      "n_train_observed", "n_test_observed"], rows)
-    manifest.add_output(path)
+    _write_csv(manifest, "describe.csv",
+               ["feature", "train_median", "test_median", "rank_biserial",
+                "n_train_observed", "n_test_observed"], rows)
 
     rate_rows = []
     for key in panel.labels:
@@ -407,9 +405,8 @@ def cmd_describe(cfg: RunConfig, manifest: Manifest) -> int:
             count = int(labels.sum())
             rate_rows.append([key, side, count, len(sub),
                               _fmt(count / len(sub)) if len(sub) else ""])
-    path = os.path.join(cfg.out, "injury_rates.csv")
-    _write_csv(path, ["outcome", "split", "count", "n_rows", "rate"], rate_rows)
-    manifest.add_output(path)
+    _write_csv(manifest, "injury_rates.csv",
+               ["outcome", "split", "count", "n_rows", "rate"], rate_rows)
     return 0
 
 
@@ -484,7 +481,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

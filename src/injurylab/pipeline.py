@@ -295,6 +295,18 @@ class Cell:
         return (self.spec.family, self.outcome, self.protocol.name)
 
 
+def _mean(values) -> float:
+    """Mean of the values; nan, without numpy's warning, for none."""
+    return float(np.mean(values)) if values else float("nan")
+
+
+def _sd(values) -> float:
+    """Sample SD of the values: 0 for one value, nan for none."""
+    if len(values) > 1:
+        return float(np.std(values, ddof=1))
+    return 0.0 if values else float("nan")
+
+
 @dataclass
 class CellSummary:
     family: str
@@ -314,8 +326,7 @@ class CellSummary:
 
     @property
     def mean_auc(self) -> float:
-        values = [a for a in self.aucs if a is not None]
-        return float(np.mean(values)) if values else float("nan")
+        return _mean([a for a in self.aucs if a is not None])
 
     @property
     def sd_auc(self) -> float:
@@ -338,85 +349,88 @@ class SimulationSummary:
         return all(cell.complete for cell in self.cells)
 
 
+@dataclass
+class Task:
+    """One run of a cell, on the training ``rows`` or, when None, on all."""
+
+    cell: Cell
+    sim: int
+    rows: np.ndarray | None = None
+
+
+def run_tasks(data: ModelingData, tasks, master_seed: int, keep,
+              settings: PipelineSettings | None = None, threads: int = 1,
+              compute_train_auc: bool = False) -> list:
+    """Run each task through `run_pipeline_once` on ``threads`` pool threads;
+    returns, in task order, ``keep(task, run)`` or the run's failure as a
+    "Type: message" string.  Only what ``keep`` returns outlives the task;
+    an error raised by ``keep`` itself propagates.
+
+    Tasks on all training rows share one PMM imputer fitted once per call
+    (see `fit_imputer`; fitting draws no random numbers); if that fit fails,
+    each run refits and records its own error.  OpenBLAS is held at one
+    thread for the call (see `_one_blas_thread`), so the pool does not
+    oversubscribe the cores and no result bit depends on ``threads`` or the
+    core count.  Warnings are silenced for the call.
+    """
+    settings = settings or PipelineSettings()
+    tasks = list(tasks)
+
+    def one(task: Task):
+        cell = task.cell
+        rows = slice(None) if task.rows is None else task.rows
+        try:
+            run = run_pipeline_once(
+                data.X_train[rows], data.y_train[cell.outcome][rows],
+                data.X_test, data.y_test[cell.outcome],
+                cell.spec, cell.protocol, settings, master_seed, sim_index=task.sim,
+                groups_train=data.groups_train[rows], feature_names=data.feature_names,
+                compute_train_auc=compute_train_auc,
+                imputer=imputer if task.rows is None else None,
+            )
+        except Exception as exc:  # recorded per task, batch continues
+            return f"{type(exc).__name__}: {exc}"
+        return keep(task, run)
+
+    # catch_warnings saves and restores the process-wide filter list, so it is
+    # entered once, here: entered in each pool thread, interleaved exits can
+    # leave "ignore" installed for good.
+    with _one_blas_thread(), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        imputer = None
+        if any(task.rows is None for task in tasks):
+            try:
+                imputer = fit_imputer(data.X_train, settings, data.feature_names)
+            except Exception:   # each run refits and records the error itself
+                pass
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(one, tasks))
+        return [one(task) for task in tasks]
+
+
 def run_simulations(data: ModelingData, cells, n_sims: int, master_seed: int,
                     settings: PipelineSettings | None = None,
                     threads: int = 1) -> SimulationSummary:
     """Repeat the whole pipeline n_sims times per cell with per-simulation
-    seeds derived from (master_seed, sim index).
-
-    Every run shares one PMM imputer, fitted once per call on
-    ``data.X_train`` (see `fit_imputer`); runs differ only in their random
-    streams, and fitting draws none.  If that fit fails, each run fits its
-    own and records the same error.
-
-    ``threads`` pool threads run the simulations, each with one BLAS thread:
-    numpy's bundled OpenBLAS is held at one thread for the whole call, on
-    every ``threads`` value, and its previous count is restored on exit.  So
-    the pool does not oversubscribe the cores, and the floating-point
-    reduction order, hence every result bit, does not depend on ``threads``
-    or on the machine's core count.  Warnings raised by the runs are
-    silenced for the duration of the call.
-
-    Individual failures are recorded per cell rather than aborting the batch.
-    """
+    seeds derived from (master_seed, sim index).  `run_tasks` runs them: it
+    pins OpenBLAS, silences warnings, shares the PMM imputer and records
+    each failure per cell rather than aborting the batch."""
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    settings = settings or PipelineSettings()
     cells = list(cells)
-
-    def one(cell_index: int, sim: int):
-        cell = cells[cell_index]
-        run = run_pipeline_once(
-            data.X_train, data.y_train[cell.outcome],
-            data.X_test, data.y_test[cell.outcome],
-            cell.spec, cell.protocol, settings, master_seed, sim_index=sim,
-            groups_train=data.groups_train, feature_names=data.feature_names,
-            imputer=imputer,
-        )
-        return run.test_auc
-
-    tasks = [(c, s) for c in range(len(cells)) for s in range(n_sims)]
-    results: dict[tuple, object] = {}
-    # catch_warnings saves and restores the process-wide filter list, so it is
-    # entered once, here: entered in each pool thread, interleaved exits can
-    # leave "ignore" installed for good.
-    with _one_blas_thread() as blas_threads, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            imputer = fit_imputer(data.X_train, settings, data.feature_names)
-        except Exception:   # each run refits and records the error itself
-            imputer = None
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(_run_quiet, one, c, s): (c, s) for c, s in tasks}
-                for future, key in futures.items():
-                    results[key] = future.result()
-        else:
-            for c, s in tasks:
-                results[(c, s)] = _run_quiet(one, c, s)
-
+    tasks = [Task(cell, sim) for cell in cells for sim in range(n_sims)]
+    results = run_tasks(data, tasks, master_seed, lambda task, run: run.test_auc,
+                        settings, threads)
     summaries = []
     for c, cell in enumerate(cells):
-        aucs, errors = [], {}
-        for s in range(n_sims):
-            value = results[(c, s)]
-            if isinstance(value, str):
-                errors[s] = value
-                aucs.append(None)
-            else:
-                aucs.append(float(value))
+        values = results[c * n_sims:(c + 1) * n_sims]
+        errors = {s: value for s, value in enumerate(values) if isinstance(value, str)}
+        aucs = [None if s in errors else float(value) for s, value in enumerate(values)]
         summaries.append(CellSummary(cell.spec.family, cell.outcome,
                                      cell.protocol.name, aucs, errors,
                                      single_run=n_sims == 1))
-    return SimulationSummary(summaries, n_sims, master_seed, blas_threads)
-
-
-def _run_quiet(fn, *args):
-    """Run one simulation, converting failures into an error string."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # recorded per cell, batch continues
-        return f"{type(exc).__name__}: {exc}"
+    return SimulationSummary(summaries, n_sims, master_seed, pinned_blas_threads())
 
 
 def _openblas_threads():
@@ -442,18 +456,24 @@ def _openblas_threads():
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS at one thread and restore the previous count on
-    exit.  Yields 1, or None (changing nothing) when no OpenBLAS is found."""
+    exit; changes nothing when no OpenBLAS is found."""
     functions = _openblas_threads()
     if functions is None:
-        yield None
+        yield
         return
     get, put = functions
     saved = get()
     put(1)
     try:
-        yield 1
+        yield
     finally:
         put(saved)
+
+
+def pinned_blas_threads() -> int | None:
+    """The OpenBLAS thread count `run_tasks` holds its runs at: 1, or None
+    when no OpenBLAS is found and the runs use the BLAS as it is."""
+    return None if _openblas_threads() is None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +485,23 @@ class LearningCurvePoint:
     size: int
     train_aucs: list[float]
     test_aucs: list[float]
+    errors: dict = field(default_factory=dict)   # repeat index -> message
 
     @property
     def train_mean(self) -> float:
-        return float(np.mean(self.train_aucs))
+        return _mean(self.train_aucs)
 
     @property
     def train_sd(self) -> float:
-        return float(np.std(self.train_aucs, ddof=1)) if len(self.train_aucs) > 1 else 0.0
+        return _sd(self.train_aucs)
 
     @property
     def test_mean(self) -> float:
-        return float(np.mean(self.test_aucs))
+        return _mean(self.test_aucs)
 
     @property
     def test_sd(self) -> float:
-        return float(np.std(self.test_aucs, ddof=1)) if len(self.test_aucs) > 1 else 0.0
+        return _sd(self.test_aucs)
 
 
 def _stratified_subsample(y, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -504,9 +525,9 @@ def learning_curve(data: ModelingData, outcome: str, spec: ModelSpec,
     """Train/test AUC versus training-set size, re-sampled `repeats` times.
 
     Train AUC is measured on the drawn subset itself; test AUC on the fixed
-    test split.
+    test split.  A point lists the AUCs of its completed repeats and the
+    error of each failed one.
     """
-    settings = settings or PipelineSettings()
     y_train = data.y_train[outcome]
     if np.count_nonzero(y_train == 1) < 2:
         raise ValueError("training data needs at least 2 positive rows")
@@ -515,22 +536,26 @@ def learning_curve(data: ModelingData, outcome: str, spec: ModelSpec,
         raise ValueError("sizes must be at least 10 rows")
     if sizes[-1] > data.n_train:
         raise ValueError(f"size {sizes[-1]} exceeds training rows {data.n_train}")
-    points = []
+    cell, tasks = Cell(spec, outcome, protocol), []
     for size_index, size in enumerate(sizes):
-        train_aucs, test_aucs = [], []
         for repeat in range(repeats):
             sim = size_index * 100003 + repeat + 1
             rng_sub = stream_rng(master_seed, sim, "subsample")
-            idx = _stratified_subsample(y_train, size, rng_sub)
-            run = run_pipeline_once(
-                data.X_train[idx], y_train[idx], data.X_test, data.y_test[outcome],
-                spec, protocol, settings, master_seed, sim_index=sim,
-                groups_train=data.groups_train[idx],
-                feature_names=data.feature_names, compute_train_auc=True,
-            )
-            train_aucs.append(run.train_auc)
-            test_aucs.append(run.test_auc)
-        points.append(LearningCurvePoint(size, train_aucs, test_aucs))
+            tasks.append(Task(cell, sim, _stratified_subsample(y_train, size, rng_sub)))
+    results = run_tasks(data, tasks, master_seed,
+                        lambda task, run: (run.train_auc, run.test_auc), settings,
+                        compute_train_auc=True)
+    points = []
+    for size_index, size in enumerate(sizes):
+        point = LearningCurvePoint(size, [], [])
+        first = size_index * repeats
+        for repeat, result in enumerate(results[first:first + repeats]):
+            if isinstance(result, str):
+                point.errors[repeat] = result
+            else:
+                point.train_aucs.append(result[0])
+                point.test_aucs.append(result[1])
+        points.append(point)
     return points
 
 

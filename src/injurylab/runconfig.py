@@ -20,6 +20,7 @@ from .models import (ALPHA_GRID, C_GRID, CV_FOLDS, FAMILIES, GAMMA_GRID, LAMBDA_
                      RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES)
 from .pipeline import PROTOCOL_NAMES
 from .preprocess import PCA_THRESHOLD, PMM_DONORS, SMOTE_NEIGHBORS
+from .synthdata import CohortConfig
 
 
 class ConfigError(ValueError):
@@ -115,6 +116,21 @@ class RunConfig:
             raise ConfigError("pca_threshold must be in (0, 1]")
         if self.synth_preset not in ("signal", "null", "custom"):
             raise ConfigError("synth_preset must be signal, null or custom")
+        self.cohort_overrides()
+
+    def cohort_overrides(self) -> dict:
+        """``synth_overrides`` cast to the types of the `CohortConfig` fields
+        they set; only ``preset = custom`` takes any."""
+        overrides = {}
+        for key, raw in self.synth_overrides.items():
+            if self.synth_preset != "custom" or key not in _COHORT_CASTS:
+                raise ConfigError(f"[synth] {key} is not an option of preset = "
+                                  f"{self.synth_preset}")
+            try:
+                overrides[key] = _COHORT_CASTS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for [synth] {key}: {raw!r} ({exc})") from None
+        return overrides
 
     def require_inputs(self) -> None:
         for path in (self.sessions, self.injuries, self.athletes):
@@ -180,6 +196,10 @@ def _caster(hint):
 
 
 _CASTS = {name: _caster(hint) for name, hint in get_type_hints(RunConfig).items()}
+#: casts of the CohortConfig fields that a ``[synth]`` override may set: all
+#: but the seed and those the synth_ fields set
+_COHORT_CASTS = {name: _caster(hint) for name, hint in get_type_hints(CohortConfig).items()
+                 if f"synth_{name}" not in _SECTIONS["synth"] and name != "seed"}
 
 
 def _format(value) -> str:

@@ -196,6 +196,116 @@ class TestLearningCurveCommand:
             assert 0.0 <= float(row[7]) <= 1.0   # test mean
 
 
+def config_variant(workspace, name, *replacements):
+    """BASE_CONFIG with each (old, new) text replacement, written next to the
+    workspace's data directory; returns its path."""
+    root, _ = workspace
+    text = BASE_CONFIG
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = root / name
+    path.write_text(text)
+    return str(path)
+
+
+WITH_GEE = ("families = logistic_elastic_net", "families = logistic_elastic_net, gee_ar1")
+ENET_ROWS = [["logistic_elastic_net", "nc", "none"],
+             ["logistic_elastic_net", "nc_lag", "none"]]
+
+
+def assert_gee_cells_failed(out, status_name):
+    status = read_csv(out / status_name)
+    assert status[0] == ["family", "outcome", "protocol", "sim", "error"]
+    assert [row[:4] for row in status[1:]] == [["gee_ar1", "nc", "none", "0"],
+                                               ["gee_ar1", "nc_lag", "none", "0"]]
+    assert all(row[4].startswith("ConvergenceError: ") for row in status[1:])
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert any(line.startswith(f"output={status_name} ") for line in lines)
+    assert lines[-1] == "status=partial"
+
+
+class TestPartialFailures:
+    """A command whose runs partly fail writes the runs that succeeded, lists
+    the failed ones in a status CSV and exits 3.  Raw-feature GEE does not
+    converge on this cohort."""
+
+    def test_train(self, workspace, tmp_path):
+        config = config_variant(workspace, "gee.ini", WITH_GEE)
+        out = tmp_path / "train"
+        assert main(["train", "--config", config, "--out", str(out)]) == 3
+        assert sorted(path.name for path in out.glob("model__*.json")) == [
+            "model__logistic_elastic_net__nc__none.json",
+            "model__logistic_elastic_net__nc_lag__none.json"]
+        summary = read_csv(out / "training_summary.csv")
+        assert [row[:3] for row in summary[1:]] == ENET_ROWS
+        assert_gee_cells_failed(out, "training_status.csv")
+
+    def test_evaluate(self, workspace, tmp_path):
+        config = config_variant(workspace, "gee.ini", WITH_GEE)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", config, "--out", str(out)]) == 3
+        for name in ("roc_points.csv", "operating_points.csv", "subgroups.csv"):
+            rows = read_csv(out / name)
+            assert sorted({tuple(row[:3]) for row in rows[1:]}) == [
+                tuple(row) for row in ENET_ROWS], name
+        assert_gee_cells_failed(out, "evaluation_status.csv")
+
+    def test_learning_curve(self, workspace, tmp_path):
+        config = config_variant(workspace, "lc_gee.ini",
+                                ("\nfamily = logistic_elastic_net", "\nfamily = gee_ar1"))
+        out = tmp_path / "lc"
+        assert main(["learning-curve", "--config", config, "--out", str(out)]) == 3
+        rows = read_csv(out / "learning_curve.csv")
+        assert [row[3:] for row in rows[1:]] == [
+            [size, "0", "nan", "nan", "nan", "nan"] for size in ("80", "160")]
+        status = read_csv(out / "learning_curve_status.csv")
+        assert status[0] == ["family", "outcome", "protocol", "size", "repeat", "error"]
+        assert [row[:5] for row in status[1:]] == [
+            ["gee_ar1", "nc_lag", "none", size, repeat]
+            for size in ("80", "160") for repeat in ("0", "1")]
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[-1] == "status=partial"
+
+
+@pytest.mark.parametrize("command, runs", [("train", 2), ("learning-curve", 4)])
+def test_runs_see_one_blas_thread(workspace, tmp_path, monkeypatch, command, runs):
+    functions = pipeline._openblas_threads()
+    if functions is None:
+        pytest.skip("numpy does not use a bundled OpenBLAS")
+    get, put = functions
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("stub")
+
+    _, config = workspace
+    monkeypatch.setattr(pipeline, "run_pipeline_once", stub)
+    saved = get()
+    put(2)   # a count the pin must override and then restore
+    try:
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 3
+        assert seen == [1] * runs
+        assert get() == 2
+    finally:
+        put(saved)
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "blas_threads=1" in lines
+
+
+def test_train_runs_simulation_zero(workspace, tmp_path):
+    _, config = workspace
+    assert main(["train", "--config", config, "--out", str(tmp_path / "train")]) == 0
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sims")]) == 0
+    trained = {tuple(row[:3]): row[5]
+               for row in read_csv(tmp_path / "train" / "training_summary.csv")[1:]}
+    simulated = {tuple(row[:3]): row[4]
+                 for row in read_csv(tmp_path / "sims" / "simulation_aucs.csv")[1:]
+                 if row[3] == "0"}
+    assert trained == simulated and len(trained) == 2
+
+
 class TestDescribeCommand:
     def test_feature_table(self, workspace, tmp_path):
         _, config = workspace
@@ -305,3 +415,28 @@ class TestConfigTable:
         with pytest.raises(ConfigError, match=option):
             load_config(str(path))
         assert main(["features", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("preset, setting", [
+        ("custom", "base_hazrd = 0.01"),   # not a CohortConfig field
+        ("custom", "seed = 3"),            # set from [run] seed
+        ("custom", "beta1 = strong"),
+        ("custom", "acute_window = 3.5"),  # an int field
+        ("signal", "beta1 = 3"),           # only custom takes overrides
+        ("null", "beta1 = 3"),
+    ])
+    def test_bad_synth_override_rejected(self, tmp_path, preset, setting):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[synth]\npreset = {preset}\n{setting}\n")
+        key = setting.split(" =")[0]
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+        assert main(["synth", "--config", str(path)]) == 2
+
+    def test_synth_overrides_cast_to_field_types(self, tmp_path):
+        path = tmp_path / "custom.ini"
+        path.write_text("[synth]\npreset = custom\nbeta1 = 3\nacute_window = 4\n"
+                        "hazard_variable = distance\n")
+        overrides = load_config(str(path)).cohort_overrides()
+        assert overrides == {"beta1": 3.0, "acute_window": 4,
+                             "hazard_variable": "distance"}
+        assert [type(overrides[key]) for key in ("beta1", "acute_window")] == [float, int]

@@ -386,3 +386,10 @@ class TestLearningCurve:
         points = learning_curve(data, "nc", ENET, Protocol(), sizes=[80],
                                 repeats=3, master_seed=6)
         assert all(0.5 <= a <= 1.0 for a in points[0].train_aucs)
+
+    def test_point_without_completed_repeat_is_nan(self):
+        point = pipeline.LearningCurvePoint(80, [], [], errors={0: "E: x"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = (point.train_mean, point.train_sd, point.test_mean, point.test_sd)
+        assert all(np.isnan(value) for value in values)
