@@ -7,7 +7,9 @@ monotony/strain.  Every feature on day i is computed from loads strictly
 before day i, so perturbing a day's load never changes that day's features.
 
 Series are dense per (athlete, season) calendar-day arrays; non-session days
-contribute zero load.  Accumulators reset at season boundaries.
+contribute zero load.  Accumulators reset at season boundaries.  The feature
+matrix is built from one table per athlete-season, in which each EWMA span is
+computed once and shared by its EWMA and EW-ACWR columns.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ MONOTONY_WINDOW = 7
 #: monotony value when the week has load but (near-)zero daily variation
 MONOTONY_CAP = 10.0
 _SD_EPS = 1e-12
+#: the last feature columns, read from the panel rather than the load series
+_PANEL_COLUMNS = ("age_years", "is_match")
 
 
 def ewma_lambda(span: int) -> float:
@@ -179,26 +183,18 @@ def strain7_series(w, cap: float = MONOTONY_CAP) -> np.ndarray:
     return out
 
 
-def acwr_series(w, acute: int, chronic: int = CHRONIC_WINDOW) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    out = np.full(n, np.nan)
-    if n <= chronic:
-        return out
-    acute_means = rolling_average_series(w, acute)[chronic:]
-    chronic_means = rolling_average_series(w, chronic)[chronic:]
+def _ratio(acute, chronic) -> np.ndarray:
+    """acute / chronic, with 0 where there is no chronic workload."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = acute_means / chronic_means
-    out[chronic:] = np.where(chronic_means == 0.0, 0.0, ratio)
-    return out
+        return np.where(chronic == 0.0, 0.0, acute / chronic)
+
+
+def acwr_series(w, acute: int, chronic: int = CHRONIC_WINDOW) -> np.ndarray:
+    return _ratio(rolling_average_series(w, acute), rolling_average_series(w, chronic))
 
 
 def ew_acwr_series(w, span_acute: int, span_chronic: int = CHRONIC_WINDOW) -> np.ndarray:
-    acute_values = ewma_series(w, span_acute)
-    chronic_values = ewma_series(w, span_chronic)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = acute_values / chronic_values
-    return np.where(chronic_values == 0.0, 0.0, ratio)
+    return _ratio(ewma_series(w, span_acute), ewma_series(w, span_chronic))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +216,9 @@ class LoadSeriesSet:
         return self.arrays[(athlete_id, season)][variable]
 
 
-def _session_value(session, variable):
-    if variable == "distance":
-        return session.distance_m
-    if variable == "msr":
-        return session.msr_m
-    if variable == "hsr":
-        return session.hsr_m
-    if variable == "srpe":
-        return session.srpe
-    if variable == "player_load":
-        return session.player_load
-    raise ValueError(f"unknown variable {variable!r}")
+#: the SessionRecord attribute that holds each variable's session load
+_SESSION_ATTRIBUTES = {"distance": "distance_m", "msr": "msr_m", "hsr": "hsr_m",
+                       "srpe": "srpe", "player_load": "player_load"}
 
 
 def build_load_series(sessions, season_starts: dict[int, dt.date] | None = None) -> LoadSeriesSet:
@@ -260,13 +247,9 @@ def build_load_series(sessions, season_starts: dict[int, dt.date] | None = None)
         offset = (s.date - season_starts[s.season]).days
         if offset < 0:
             raise ValueError(f"session on {s.date} precedes season start")
-        for variable in VARIABLES:
-            value = _session_value(s, variable)
-            day = arrays[key][variable]
-            if value is None:
-                day[offset] = np.nan
-            elif not np.isnan(day[offset]):
-                day[offset] += value
+        for variable, attribute in _SESSION_ATTRIBUTES.items():
+            value = getattr(s, attribute)
+            arrays[key][variable][offset] += np.nan if value is None else value
     return LoadSeriesSet(arrays, dict(season_starts), season_lengths)
 
 
@@ -310,56 +293,57 @@ def feature_columns() -> list[str]:
     for variable in MONOTONY_VARIABLES:
         cols.append(f"{variable}_monotony7")
         cols.append(f"{variable}_strain7")
-    cols.append("age_years")
-    cols.append("is_match")
-    return cols
+    return cols + list(_PANEL_COLUMNS)
 
 
-def _variable_feature_table(w, cap: float) -> np.ndarray:
-    """All 12 per-variable feature series stacked as columns (monotony last)."""
-    cols = [rolling_average_series(w, window) for window in RA_WINDOWS]
-    cols += [ewma_series(w, span) for span in EWMA_SPANS]
-    cols += [acwr_series(w, acute) for acute in ACUTE_WINDOWS]
-    cols += [ew_acwr_series(w, span) for span in ACUTE_WINDOWS]
-    cols += [monotony7_series(w, cap=cap), strain7_series(w, cap=cap)]
-    return np.column_stack(cols)
+def _load_table(loads: dict[str, np.ndarray], cap: float) -> np.ndarray:
+    """One athlete-season's load features, one row per season day, with the
+    columns of feature_columns() before age_years and is_match."""
+    series: dict[str, np.ndarray] = {}
+    for variable, w in loads.items():
+        ra = {window: rolling_average_series(w, window) for window in RA_WINDOWS}
+        ew = {span: ewma_series(w, span) for span in EWMA_SPANS}
+        for window in RA_WINDOWS:
+            series[f"{variable}_ra{window}"] = ra[window]
+        for span in EWMA_SPANS:
+            series[f"{variable}_ewma{span}"] = ew[span]
+        for acute in ACUTE_WINDOWS:
+            suffix = f"{acute}_{CHRONIC_WINDOW}"
+            series[f"{variable}_acwr{suffix}"] = _ratio(ra[acute], ra[CHRONIC_WINDOW])
+            series[f"{variable}_ewacwr{suffix}"] = _ratio(ew[acute], ew[CHRONIC_WINDOW])
+        if variable in MONOTONY_VARIABLES:
+            series[f"{variable}_monotony7"] = monotony7_series(w, cap=cap)
+            series[f"{variable}_strain7"] = strain7_series(w, cap=cap)
+    return np.column_stack([series[name] for name in feature_columns()[:-len(_PANEL_COLUMNS)]])
 
 
 def build_feature_matrix(panel: DailyPanel, series_set: LoadSeriesSet,
                          monotony_cap: float = MONOTONY_CAP) -> FeatureMatrix:
-    """Compute the full feature matrix for every panel row."""
+    """Compute the full feature matrix for every panel row.
+
+    Panel rows are grouped by athlete-season.  Each athlete-season's table is
+    built once, with each EWMA span computed once, and the group's rows are
+    read from it at their season days; the table is dropped before the next
+    group's is built.
+    """
     if panel.season_starts != series_set.season_starts:
         raise ValueError("panel and load series use different season starts")
     columns = feature_columns()
-    n = len(panel)
-    values = np.full((n, len(columns)), np.nan)
-
-    # per-(athlete, season) cache of the stacked per-variable feature tables
-    tables: dict[tuple[str, int], dict[str, np.ndarray]] = {}
-    col_of = {name: j for j, name in enumerate(columns)}
-
-    for i in range(n):
-        key = (panel.athlete_ids[i], int(panel.seasons[i]))
-        if key not in tables:
-            if key not in series_set.arrays:
-                raise ValueError(f"no load series for athlete-season {key}")
-            tables[key] = {
-                variable: _variable_feature_table(series_set.arrays[key][variable], monotony_cap)
-                for variable in VARIABLES
-            }
-        day = int(panel.season_day[i])
-        for variable in VARIABLES:
-            table = tables[key][variable]
-            if day >= table.shape[0]:
-                raise ValueError(
-                    f"panel day {day} outside load series span for {key}"
-                )
-            row = table[day]
-            base = col_of[f"{variable}_ra{RA_WINDOWS[0]}"]
-            values[i, base:base + 10] = row[:10]
-            if variable in MONOTONY_VARIABLES:
-                values[i, col_of[f"{variable}_monotony7"]] = row[10]
-                values[i, col_of[f"{variable}_strain7"]] = row[11]
-    values[:, col_of["age_years"]] = panel.age_years
-    values[:, col_of["is_match"]] = panel.is_match.astype(float)
+    n_load = len(columns) - len(_PANEL_COLUMNS)
+    values = np.empty((len(panel), len(columns)))
+    rows_of: dict[tuple[str, int], list[int]] = {}
+    for i, key in enumerate(zip(panel.athlete_ids, panel.seasons.tolist())):
+        rows_of.setdefault(key, []).append(i)
+    for key, rows in rows_of.items():
+        if key not in series_set.arrays:
+            raise ValueError(f"no load series for athlete-season {key}")
+        days = panel.season_day[rows]
+        table = _load_table(series_set.arrays[key], monotony_cap)
+        outside = days >= table.shape[0]
+        if outside.any():
+            raise ValueError(
+                f"panel day {int(days[outside][0])} outside load series span for {key}"
+            )
+        values[rows, :n_load] = table[days]
+    values[:, n_load:] = np.column_stack([panel.age_years, panel.is_match.astype(float)])
     return FeatureMatrix(columns, values)

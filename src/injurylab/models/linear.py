@@ -167,8 +167,7 @@ def _fista_quadratic(H, c, theta0, l1, stop_tol, max_steps=100000):
     return None
 
 
-def tune_elastic_net(X, y, grid, tol: float = ENET_TOL, max_iter: int = ENET_MAX_ITER,
-                     **cv) -> TrainedModel:
+def tune_elastic_net(X, y, grid, **cv) -> TrainedModel:
     """Elastic net over the grid's (lam, alpha) candidates, run alpha-major
     (alphas in order of first appearance) with lam descending, so warm starts
     chain along each penalty path.  AUC ties prefer the larger penalty, then
@@ -176,8 +175,7 @@ def tune_elastic_net(X, y, grid, tol: float = ENET_TOL, max_iter: int = ENET_MAX
     def fit(params, X, y, rows, rng, state):
         lam, alpha = params["lam"], params["alpha"]
         init = state[:2] if state is not None and state[2] == alpha else None
-        b, beta, sweeps = fit_elastic_net_raw(X[rows], y[rows], lam, alpha, tol=tol,
-                                              max_iter=max_iter, init=init)
+        b, beta, sweeps = fit_elastic_net_raw(X[rows], y[rows], lam, alpha, init=init)
         return {"intercept": b, "beta": beta}, {"sweeps": sweeps}, (b, beta, alpha)
 
     candidates = coerce_grid(grid, lam=float, alpha=float)
@@ -189,14 +187,13 @@ def tune_elastic_net(X, y, grid, tol: float = ENET_TOL, max_iter: int = ENET_MAX
 
 def fit_logistic_elastic_net(X, y, lambdas=LAMBDA_GRID, alphas=ALPHA_GRID,
                              folds: int = CV_FOLDS, rng: np.random.Generator | None = None,
-                             feature_names=None, tol: float = ENET_TOL,
-                             max_iter: int = ENET_MAX_ITER, groups=None,
+                             feature_names=None, groups=None,
                              group_folds: bool = False) -> TrainedModel:
     """Elastic-net logistic regression tuned by stratified k-fold AUC over
     every (lam, alpha) pair."""
-    return tune_elastic_net(X, y, candidate_grid(lam=lambdas, alpha=alphas), tol=tol,
-                            max_iter=max_iter, folds=folds, rng=rng, groups=groups,
-                            feature_names=feature_names, group_folds=group_folds)
+    return tune_elastic_net(X, y, candidate_grid(lam=lambdas, alpha=alphas), folds=folds,
+                            rng=rng, groups=groups, feature_names=feature_names,
+                            group_folds=group_folds)
 
 
 def fit_logistic_irls(X, y, tol: float = UNIVARIATE_TOL,

@@ -113,13 +113,11 @@ def fit_svm_rbf_raw(X, y, C: float, gamma: float, rng: np.random.Generator,
     return X[support], (alpha * y_pm)[support], b
 
 
-def tune_svm(X, y, grid, tol: float = KKT_TOL, max_sweeps: int = SMO_MAX_SWEEPS,
-             **cv) -> TrainedModel:
+def tune_svm(X, y, grid, **cv) -> TrainedModel:
     """RBF SVM over the grid's (C, gamma) candidates; AUC ties prefer smaller
     C, then smaller gamma.  ``cv`` goes to tune."""
     def fit(params, X, y, rows, rng, state):
-        sv, coef, b = fit_svm_rbf_raw(X[rows], y[rows], params["C"], params["gamma"], rng,
-                                      tol=tol, max_sweeps=max_sweeps)
+        sv, coef, b = fit_svm_rbf_raw(X[rows], y[rows], params["C"], params["gamma"], rng)
         return ({"support_vectors": sv, "dual_coef": coef, "intercept": b,
                  "gamma": params["gamma"]}, {"n_support": int(sv.shape[0])}, None)
 
@@ -128,13 +126,11 @@ def tune_svm(X, y, grid, tol: float = KKT_TOL, max_sweeps: int = SMO_MAX_SWEEPS,
 
 
 def fit_svm_rbf(X, y, C=C_GRID, gamma=GAMMA_GRID, folds: int = CV_FOLDS,
-                rng: np.random.Generator | None = None, tol: float = KKT_TOL,
-                max_sweeps: int = SMO_MAX_SWEEPS, feature_names=None,
+                rng: np.random.Generator | None = None, feature_names=None,
                 groups=None, group_folds: bool = False) -> TrainedModel:
     """RBF SVM with CV tuning over every (C, gamma) pair."""
-    return tune_svm(X, y, candidate_grid(C=C, gamma=gamma), tol=tol,
-                    max_sweeps=max_sweeps, folds=folds, rng=rng, groups=groups,
-                    feature_names=feature_names, group_folds=group_folds)
+    return tune_svm(X, y, candidate_grid(C=C, gamma=gamma), folds=folds, rng=rng,
+                    groups=groups, feature_names=feature_names, group_folds=group_folds)
 
 
 def _score_svm(params, X):

@@ -330,10 +330,7 @@ class CellSummary:
 
     @property
     def sd_auc(self) -> float:
-        values = [a for a in self.aucs if a is not None]
-        if len(values) <= 1:
-            return 0.0
-        return float(np.std(values, ddof=1))
+        return _sd([a for a in self.aucs if a is not None])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -274,6 +275,82 @@ class TestFeatureMatrix:
         # day 10 is inside the 7-day window before day 14
         assert np.isnan(features.column("srpe_monotony7")[row])
         assert not np.isnan(features.column("distance_monotony7")[row])
+
+
+#: every load feature suffix and the public series function it must equal
+SERIES_ORACLE = {
+    "ra3": lambda w: lm.rolling_average_series(w, 3),
+    "ra6": lambda w: lm.rolling_average_series(w, 6),
+    "ra21": lambda w: lm.rolling_average_series(w, 21),
+    "ewma3": lambda w: lm.ewma_series(w, 3),
+    "ewma6": lambda w: lm.ewma_series(w, 6),
+    "ewma21": lambda w: lm.ewma_series(w, 21),
+    "acwr3_21": lambda w: lm.acwr_series(w, 3, 21),
+    "acwr6_21": lambda w: lm.acwr_series(w, 6, 21),
+    "ewacwr3_21": lambda w: lm.ew_acwr_series(w, 3, 21),
+    "ewacwr6_21": lambda w: lm.ew_acwr_series(w, 6, 21),
+    "monotony7": lambda w: lm.monotony7_series(w),
+    "strain7": lambda w: lm.strain7_series(w),
+}
+
+
+class TestFeatureMatrixLayout:
+    @pytest.fixture
+    def cohort(self, rng):
+        """Two athletes x two seasons of varied loads, a 15-day break and one
+        missing MSR value."""
+        sessions = []
+        for season in (2014, 2015):
+            start = dt.date(season, 3, 1)
+            for athlete_id, step in (("A01", 2), ("A02", 3)):
+                offsets = list(range(0, 20, step)) + list(range(35, 90, step))
+                sessions += season_sessions(athlete_id, start, offsets)
+        sessions = [
+            dataclasses.replace(
+                s, rpe=int(rng.integers(1, 11)), distance_m=float(rng.uniform(0, 9000)),
+                msr_m=float(rng.uniform(0, 900)), hsr_m=float(rng.choice([0.0, 150.0])),
+                player_load=float(rng.uniform(0, 600)))
+            for s in sessions
+        ]
+        sessions[30] = dataclasses.replace(sessions[30], msr_m=None)
+        athletes = [make_athlete("A01"), make_athlete("A02", dt.date(1988, 2, 1))]
+        panel = build_daily_panel(sessions, [], athletes)
+        return panel, lm.build_load_series(sessions, season_starts=panel.season_starts)
+
+    def test_every_load_column_is_its_series_function(self, cohort):
+        panel, series = cohort
+        features = lm.build_feature_matrix(panel, series)
+        load_columns = [c for c in features.columns if c not in ("age_years", "is_match")]
+        assert len(load_columns) == 58
+        assert len(set(zip(panel.athlete_ids, panel.seasons))) == 4
+        assert sum(np.isnan(loads["msr"]).sum() for loads in series.arrays.values()) == 1
+        for name in load_columns:
+            variable, suffix = next((v, name[len(v) + 1:]) for v in lm.VARIABLES
+                                    if name.startswith(v + "_"))
+            expected = np.array([
+                SERIES_ORACLE[suffix](series.series(athlete_id, int(season), variable))[day]
+                for athlete_id, season, day in zip(panel.athlete_ids, panel.seasons,
+                                                   panel.season_day)
+            ])
+            np.testing.assert_array_equal(features.column(name), expected, err_msg=name)
+
+    def test_missing_load_series_rejected(self, small_panel):
+        panel, sessions, _, _ = small_panel
+        series = lm.build_load_series([s for s in sessions if s.athlete_id == "A01"],
+                                      season_starts=panel.season_starts)
+        with pytest.raises(ValueError, match=r"no load series for athlete-season \('A02', 2014\)"):
+            lm.build_feature_matrix(panel, series)
+
+    def test_day_outside_series_span_rejected(self, small_panel):
+        panel, sessions, _, _ = small_panel
+        start = panel.season_starts[2014]
+        series = lm.build_load_series([s for s in sessions if (s.date - start).days < 30],
+                                      season_starts=panel.season_starts)
+        span = series.season_lengths[2014]
+        first = next(day for athlete_id, day in zip(panel.athlete_ids, panel.season_day)
+                     if athlete_id == "A01" and day >= span)
+        with pytest.raises(ValueError, match=f"panel day {first} outside load series span"):
+            lm.build_feature_matrix(panel, series)
 
 
 def test_load_series_daily_aggregation():

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import warnings
 from types import SimpleNamespace
@@ -166,6 +167,7 @@ class TestRunSimulations:
         summary = run_simulations(data, cells, n_sims=2, master_seed=1)
         assert not summary.cells[0].complete
         assert summary.cells[0].errors
+        assert math.isnan(summary.cells[0].sd_auc)
         assert summary.cells[1].complete
         assert not summary.all_complete
 
