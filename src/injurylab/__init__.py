@@ -21,10 +21,8 @@ from .load_metrics import (FeatureMatrix, LoadSeriesSet, acwr,
 from .metrics import (OperatingPoint, RocCurve, auc, operating_metrics,
                       optimal_operating_point, rank_biserial, roc_curve,
                       subgroup_auc)
-from .models import (ModelSpec, TrainedModel, fit_gee_ar1,
-                     fit_logistic_elastic_net, fit_model, fit_random_forest,
-                     fit_svm_rbf, fit_univariate_logistic, load_model,
-                     save_model)
+from .models import (ModelSpec, TrainedModel, fit_gee_ar1, fit_model,
+                     fit_univariate_logistic, load_model, save_model)
 from .pipeline import (Cell, ModelingData, PipelineSettings, Protocol,
                        assemble_modeling_data, learning_curve,
                        run_pipeline_once, run_simulations)

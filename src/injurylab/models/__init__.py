@@ -1,7 +1,8 @@
 """Five predictor families behind one fit/score contract.
 
-``fit_model`` dispatches a ModelSpec to its family; the four CV-tuned families
-pass the grid, verbatim, as the candidate list of ``tuning.tune``.
+``fit_model`` is the one entry point: it dispatches a ModelSpec to its
+family.  The four CV-tuned families (``tune_*``) pass the grid, verbatim, as
+the candidate list of ``tuning.tune``; a None grid is the family default.
 """
 
 from __future__ import annotations
@@ -10,15 +11,13 @@ import numpy as np
 
 from .base import (FAMILIES, ConvergenceError, TrainedModel, load_model,
                    model_from_dict, model_to_dict, save_model, sigmoid)
-from .forest import (RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES, fit_random_forest,
-                     fit_random_forest_raw, resolve_max_features,
-                     tune_random_forest)
+from .forest import (RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES, fit_random_forest_raw,
+                     resolve_max_features, tune_random_forest)
 from .gee import fit_gee_ar1
-from .linear import (ALPHA_GRID, LAMBDA_GRID, fit_elastic_net_raw,
-                     fit_logistic_elastic_net, fit_logistic_irls,
-                     fit_univariate_family, fit_univariate_logistic, log_loss,
-                     smooth_gradient, tune_elastic_net, tune_univariate)
-from .svm import C_GRID, GAMMA_GRID, fit_svm_rbf, fit_svm_rbf_raw, rbf_kernel, tune_svm
+from .linear import (ALPHA_GRID, LAMBDA_GRID, fit_elastic_net_raw, fit_logistic_irls,
+                     fit_univariate_logistic, log_loss, smooth_gradient,
+                     tune_elastic_net, tune_univariate)
+from .svm import C_GRID, GAMMA_GRID, fit_svm_rbf_raw, rbf_kernel, tune_svm
 from .tuning import (CV_FOLDS, CandidateResult, CvResult, ModelSpec,
                      candidate_grid, coerce_grid, cross_validate, effective_folds,
                      grouped_fold_ids, stratified_fold_ids)
@@ -27,10 +26,9 @@ __all__ = [
     "FAMILIES", "ConvergenceError", "TrainedModel", "ModelSpec", "CvResult",
     "CandidateResult", "fit_model", "save_model", "load_model",
     "model_to_dict", "model_from_dict", "cross_validate", "candidate_grid",
-    "fit_logistic_elastic_net", "fit_univariate_logistic",
-    "fit_univariate_family", "fit_gee_ar1", "fit_random_forest",
-    "fit_svm_rbf", "fit_logistic_irls", "fit_elastic_net_raw",
-    "fit_random_forest_raw", "fit_svm_rbf_raw", "sigmoid", "log_loss",
+    "fit_univariate_logistic", "fit_gee_ar1", "fit_logistic_irls",
+    "fit_elastic_net_raw", "fit_random_forest_raw", "fit_svm_rbf_raw",
+    "sigmoid", "log_loss",
     "smooth_gradient", "rbf_kernel", "resolve_max_features",
     "stratified_fold_ids", "grouped_fold_ids", "effective_folds",
     "LAMBDA_GRID", "ALPHA_GRID", "C_GRID", "GAMMA_GRID", "CV_FOLDS",

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .base import TrainedModel, register_family
-from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
+from .tuning import coerce_grid, each_candidate, tune
 
 RF_TREES = 500
 RF_MAX_FEATURES = ("sqrt", "third")
@@ -154,10 +154,10 @@ def tune_random_forest(X, y, grid, **cv) -> TrainedModel:
     then larger leaves.  ``cv`` goes to tune."""
     p = np.shape(X)[1]
 
-    def fit(params, X, y, rows, rng, state):
-        trees, _ = fit_random_forest_raw(X[rows], y[rows], params["n_trees"],
+    def fit_one(params, X_rows, y_rows, rng):
+        trees, _ = fit_random_forest_raw(X_rows, y_rows, params["n_trees"],
                                          params["max_features"], params["min_leaf"], rng)
-        return {"trees": trees}, {}, None
+        return {"trees": trees}, {}
 
     def prefer(prm):
         return (-prm["n_trees"], -resolve_max_features(prm["max_features"], p),
@@ -165,18 +165,7 @@ def tune_random_forest(X, y, grid, **cv) -> TrainedModel:
 
     return tune("random_forest",
                 coerce_grid(grid, n_trees=int, max_features=None, min_leaf=int),
-                fit, X, y, prefer=prefer, **cv)
-
-
-def fit_random_forest(X, y, n_trees=RF_TREES, max_features=RF_MAX_FEATURES,
-                      min_leaf=RF_MIN_LEAF, folds: int = CV_FOLDS,
-                      rng: np.random.Generator | None = None, feature_names=None,
-                      groups=None, group_folds: bool = False) -> TrainedModel:
-    """Random forest with CV tuning over every (n_trees, max_features,
-    min_leaf) combination; a scalar argument is a one-value axis."""
-    grid = candidate_grid(n_trees=n_trees, max_features=max_features, min_leaf=min_leaf)
-    return tune_random_forest(X, y, grid, folds=folds, rng=rng, groups=groups,
-                              feature_names=feature_names, group_folds=group_folds)
+                each_candidate(fit_one), X, y, prefer=prefer, **cv)
 
 
 def _score_forest(params, X):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family, sigmoid)
-from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
+from .tuning import FIT_ERRORS, coerce_grid, each_candidate, tune
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 ALPHA_GRID = (0.0, 0.5, 1.0)
@@ -172,28 +172,28 @@ def tune_elastic_net(X, y, grid, **cv) -> TrainedModel:
     (alphas in order of first appearance) with lam descending, so warm starts
     chain along each penalty path.  AUC ties prefer the larger penalty, then
     the larger L1 share; ``cv`` goes to tune."""
-    def fit(params, X, y, rows, rng, state):
-        lam, alpha = params["lam"], params["alpha"]
-        init = state[:2] if state is not None and state[2] == alpha else None
-        b, beta, sweeps = fit_elastic_net_raw(X[rows], y[rows], lam, alpha, init=init)
-        return {"intercept": b, "beta": beta}, {"sweeps": sweeps}, (b, beta, alpha)
+    def fit(candidates, X, y, rows, rngs):
+        # a fit starts from its predecessor's solution when that one has the
+        # same alpha and converged, and cold otherwise
+        X_rows, y_rows = X[rows], y[rows]
+        init, init_alpha = None, None
+        for params in candidates:
+            lam, alpha = params["lam"], params["alpha"]
+            try:
+                b, beta, sweeps = fit_elastic_net_raw(
+                    X_rows, y_rows, lam, alpha, init=init if init_alpha == alpha else None)
+            except FIT_ERRORS as exc:
+                init, init_alpha = None, None
+                yield exc
+                continue
+            init, init_alpha = (b, beta), alpha
+            yield {"intercept": b, "beta": beta}, {"sweeps": sweeps}
 
     candidates = coerce_grid(grid, lam=float, alpha=float)
     alphas = list(dict.fromkeys(params["alpha"] for params in candidates))
     candidates.sort(key=lambda params: (alphas.index(params["alpha"]), -params["lam"]))
     return tune("logistic_elastic_net", candidates, fit, X, y,
                 prefer=lambda prm: (prm["lam"], prm["alpha"]), **cv)
-
-
-def fit_logistic_elastic_net(X, y, lambdas=LAMBDA_GRID, alphas=ALPHA_GRID,
-                             folds: int = CV_FOLDS, rng: np.random.Generator | None = None,
-                             feature_names=None, groups=None,
-                             group_folds: bool = False) -> TrainedModel:
-    """Elastic-net logistic regression tuned by stratified k-fold AUC over
-    every (lam, alpha) pair."""
-    return tune_elastic_net(X, y, candidate_grid(lam=lambdas, alpha=alphas), folds=folds,
-                            rng=rng, groups=groups, feature_names=feature_names,
-                            group_folds=group_folds)
 
 
 def fit_logistic_irls(X, y, tol: float = UNIVARIATE_TOL,
@@ -228,12 +228,11 @@ def fit_logistic_irls(X, y, tol: float = UNIVARIATE_TOL,
     return float(theta[0]), theta[1:]
 
 
-def fit_univariate_logistic(x, y, tol: float = UNIVARIATE_TOL,
-                            max_iter: int = UNIVARIATE_MAX_ITER,
-                            feature_name: str = "x0", column: int = 0) -> TrainedModel:
+def fit_univariate_logistic(x, y, feature_name: str = "x0",
+                            column: int = 0) -> TrainedModel:
     """Maximum-likelihood logistic fit on a single predictor plus intercept."""
     x = np.asarray(x, dtype=float).reshape(-1, 1)
-    b, beta = fit_logistic_irls(x, y, tol=tol, max_iter=max_iter)
+    b, beta = fit_logistic_irls(x, y)
     return TrainedModel(
         family="univariate_logistic",
         feature_names=[feature_name],
@@ -246,24 +245,13 @@ def fit_univariate_logistic(x, y, tol: float = UNIVARIATE_TOL,
 def tune_univariate(X, y, grid, **cv) -> TrainedModel:
     """Univariate logistic fits over the grid's columns; CV picks the column,
     ties going to the lower index.  The model scores the full feature matrix."""
-    def fit(params, X, y, rows, rng, state):
+    def fit_one(params, X_rows, y_rows, rng):
         j = params["column"]
-        b, beta = fit_logistic_irls(X[rows, j:j + 1], y[rows])
-        return {"intercept": b, "slope": float(beta[0]), "column": j}, {}, None
+        b, beta = fit_logistic_irls(X_rows[:, j:j + 1], y_rows)
+        return {"intercept": b, "slope": float(beta[0]), "column": j}, {}
 
-    return tune("univariate_logistic", coerce_grid(grid, column=int), fit, X, y,
-                prefer=lambda prm: -prm["column"], **cv)
-
-
-def fit_univariate_family(X, y, columns=None, folds: int = CV_FOLDS,
-                          rng: np.random.Generator | None = None,
-                          feature_names=None, groups=None,
-                          group_folds: bool = False) -> TrainedModel:
-    """Univariate logistic models per column (default: all); CV picks one."""
-    columns = range(np.shape(X)[1]) if columns is None else columns
-    return tune_univariate(X, y, candidate_grid(column=list(columns)), folds=folds,
-                           rng=rng, feature_names=feature_names, groups=groups,
-                           group_folds=group_folds)
+    return tune("univariate_logistic", coerce_grid(grid, column=int),
+                each_candidate(fit_one), X, y, prefer=lambda prm: -prm["column"], **cv)
 
 
 def _score_linear(params, X):

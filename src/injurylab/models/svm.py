@@ -9,7 +9,7 @@ import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family)
-from .tuning import CV_FOLDS, candidate_grid, coerce_grid, tune
+from .tuning import coerce_grid, each_candidate, tune
 
 C_GRID = (0.1, 1.0, 10.0)
 GAMMA_GRID = (0.01, 0.1, 1.0)
@@ -26,11 +26,12 @@ def rbf_kernel(A, B, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def _smo(K, y_pm, C, tol, rng, max_sweeps=SMO_MAX_SWEEPS):
+def _smo(K, y_pm, C, rng):
     """Platt-style SMO with random second-index choice.
 
     Alternates full sweeps with sweeps over non-bound multipliers; converges
-    when a full sweep finds no KKT violation beyond `tol`.
+    when a full sweep finds no KKT violation beyond KKT_TOL, within
+    SMO_MAX_SWEEPS sweeps.
     """
     n = y_pm.size
     alpha = np.zeros(n)
@@ -41,7 +42,7 @@ def _smo(K, y_pm, C, tol, rng, max_sweeps=SMO_MAX_SWEEPS):
         nonlocal b, f
         e_i = f[i] - y_pm[i]
         r = y_pm[i] * e_i
-        if not ((r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0.0)):
+        if not ((r < -KKT_TOL and alpha[i] < C) or (r > KKT_TOL and alpha[i] > 0.0)):
             return False
         j = int(rng.integers(n - 1))
         if j >= i:
@@ -80,7 +81,7 @@ def _smo(K, y_pm, C, tol, rng, max_sweeps=SMO_MAX_SWEEPS):
         return True
 
     examine_all = True
-    for _ in range(max_sweeps):
+    for _ in range(SMO_MAX_SWEEPS):
         changed = 0
         if examine_all:
             targets = range(n)
@@ -96,19 +97,18 @@ def _smo(K, y_pm, C, tol, rng, max_sweeps=SMO_MAX_SWEEPS):
         elif changed == 0:
             examine_all = True
     raise ConvergenceError(
-        f"SMO did not satisfy KKT tolerance {tol:g} within {max_sweeps} sweeps",
-        sweeps=max_sweeps,
+        f"SMO did not satisfy KKT tolerance {KKT_TOL:g} within {SMO_MAX_SWEEPS} sweeps",
+        sweeps=SMO_MAX_SWEEPS,
     )
 
 
-def fit_svm_rbf_raw(X, y, C: float, gamma: float, rng: np.random.Generator,
-                    tol: float = KKT_TOL, max_sweeps: int = SMO_MAX_SWEEPS):
+def fit_svm_rbf_raw(X, y, C: float, gamma: float, rng: np.random.Generator):
     """Single (C, gamma) fit; returns (support X, alpha*y over supports, b)."""
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)
     y_pm = np.where(y == 1, 1.0, -1.0)
     K = rbf_kernel(X, X, gamma)
-    alpha, b = _smo(K, y_pm, C, tol, rng, max_sweeps)
+    alpha, b = _smo(K, y_pm, C, rng)
     support = alpha > 1e-10
     return X[support], (alpha * y_pm)[support], b
 
@@ -116,21 +116,14 @@ def fit_svm_rbf_raw(X, y, C: float, gamma: float, rng: np.random.Generator,
 def tune_svm(X, y, grid, **cv) -> TrainedModel:
     """RBF SVM over the grid's (C, gamma) candidates; AUC ties prefer smaller
     C, then smaller gamma.  ``cv`` goes to tune."""
-    def fit(params, X, y, rows, rng, state):
-        sv, coef, b = fit_svm_rbf_raw(X[rows], y[rows], params["C"], params["gamma"], rng)
+    def fit_one(params, X_rows, y_rows, rng):
+        sv, coef, b = fit_svm_rbf_raw(X_rows, y_rows, params["C"], params["gamma"], rng)
         return ({"support_vectors": sv, "dual_coef": coef, "intercept": b,
-                 "gamma": params["gamma"]}, {"n_support": int(sv.shape[0])}, None)
+                 "gamma": params["gamma"]}, {"n_support": int(sv.shape[0])})
 
-    return tune("svm_rbf", coerce_grid(grid, C=float, gamma=float), fit, X, y,
+    return tune("svm_rbf", coerce_grid(grid, C=float, gamma=float),
+                each_candidate(fit_one), X, y,
                 prefer=lambda prm: (-prm["C"], -prm["gamma"]), **cv)
-
-
-def fit_svm_rbf(X, y, C=C_GRID, gamma=GAMMA_GRID, folds: int = CV_FOLDS,
-                rng: np.random.Generator | None = None, feature_names=None,
-                groups=None, group_folds: bool = False) -> TrainedModel:
-    """RBF SVM with CV tuning over every (C, gamma) pair."""
-    return tune_svm(X, y, candidate_grid(C=C, gamma=gamma), folds=folds, rng=rng,
-                    groups=groups, feature_names=feature_names, group_folds=group_folds)
 
 
 def _score_svm(params, X):

@@ -5,6 +5,10 @@ scored exactly once per candidate out-of-fold, candidates are ranked by mean
 validation AUC and ties go to the simpler model via a family-supplied
 preference key.  ``tune`` is the one path from a candidate list to a fitted
 TrainedModel that every CV-tuned family takes.
+
+A family's ``fit`` sees every candidate at once, once per set of rows: once
+per CV fold and once for the final refit.  So work shared across candidates
+(a warm-start chain, a fold's Gram or kernel) stays inside the family.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from ..metrics import auc
 from .base import SCORERS, ConvergenceError, TrainedModel, check_binary_labels
 
 CV_FOLDS = 10
+
+#: the errors a candidate's fit may raise and CV records as a failed fold
+FIT_ERRORS = (ConvergenceError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -121,17 +128,16 @@ def grouped_fold_ids(y, groups, folds: int, rng: np.random.Generator) -> np.ndar
     return np.array([assignment[g] for g in groups.tolist()], dtype=int)
 
 
-def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
+def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,
                    folds: int = CV_FOLDS, prefer=None, groups=None,
                    group_folds: bool = False) -> CvResult:
     """Score each candidate by out-of-fold AUC and select the best.
 
-    ``fit_score_fn(params, train_idx, valid_idx, rng, state)`` must return
-    ``(validation_scores, state)``.  Within one fold, each candidate gets the
-    state its predecessor returned (None for the first, and after a failed
-    fit), so a family can warm-start along the candidate order; a family
-    that returns None starts every fit cold.  Candidates whose fit fails on
-    a fold get a NaN fold AUC and a warning.
+    ``fit_fold(candidates, train_idx, valid_idx, rngs)`` is called once per
+    fold and yields, for each candidate in order, its validation scores or
+    the FIT_ERRORS exception its fit raised; ``rngs[c]`` is candidate c's
+    generator on that fold.  A failed candidate gets a NaN fold AUC and a
+    warning.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -144,8 +150,9 @@ def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
         fold_id = stratified_fold_ids(y, folds, rng)
 
     candidates = list(candidates)
-    fold_auc = np.full((len(candidates), folds), np.nan)
-    child_rngs = rng.spawn(folds * len(candidates))
+    n_cand = len(candidates)
+    fold_auc = np.full((n_cand, folds), np.nan)
+    child_rngs = rng.spawn(folds * n_cand)
     for f in range(folds):
         valid_idx = np.flatnonzero(fold_id == f)
         train_idx = np.flatnonzero(fold_id != f)
@@ -153,17 +160,14 @@ def cross_validate(candidates, X, y, fit_score_fn, rng: np.random.Generator,
         if np.count_nonzero(y_valid == 1) == 0 or np.count_nonzero(y_valid == 0) == 0:
             warnings.warn(f"fold {f} lacks both classes; skipped", stacklevel=2)
             continue
-        state = None
-        for c, params in enumerate(candidates):
-            child = child_rngs[f * len(candidates) + c]
-            try:
-                scores, state = fit_score_fn(params, train_idx, valid_idx, child, state)
-            except (ConvergenceError, np.linalg.LinAlgError) as exc:
-                warnings.warn(f"candidate {params} failed on fold {f}: {exc}",
+        outcomes = fit_fold(candidates, train_idx, valid_idx,
+                            child_rngs[f * n_cand:(f + 1) * n_cand])
+        for c, (params, scores) in enumerate(zip(candidates, outcomes)):
+            if isinstance(scores, FIT_ERRORS):
+                warnings.warn(f"candidate {params} failed on fold {f}: {scores}",
                               stacklevel=2)
-                state = None
-                continue
-            fold_auc[c, f] = auc(scores, y_valid)
+            else:
+                fold_auc[c, f] = auc(scores, y_valid)
 
     results = [CandidateResult(params, fold_auc[c]) for c, params in enumerate(candidates)]
     if all(np.isnan(r.fold_auc).all() for r in results):
@@ -193,40 +197,58 @@ def coerce_grid(grid, **casts) -> list[dict]:
         raise ValueError(f"a grid entry lacks the key {exc.args[0]!r}") from None
 
 
-def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator | None = None,
+def each_candidate(fit_one):
+    """A family ``fit`` for tune from ``fit_one(params, X_rows, y_rows, rng)``,
+    which fits one candidate on the sliced rows and returns
+    ``(model_params, metadata)``; each candidate is fitted on its own."""
+    def fit(candidates, X, y, rows, rngs):
+        X_rows, y_rows = X[rows], y[rows]
+        for params, rng in zip(candidates, rngs):
+            try:
+                yield fit_one(params, X_rows, y_rows, rng)
+            except FIT_ERRORS as exc:
+                yield exc
+    return fit
+
+
+def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator,
          folds: int = CV_FOLDS, prefer=None, groups=None, group_folds: bool = False,
          feature_names=None) -> TrainedModel:
     """Pick a family's candidate by cross-validated AUC and refit it on all rows.
 
-    ``fit(params, X, y, rows, rng, state)`` fits the given rows of X and
-    returns ``(model_params, metadata, state)``; validation rows are scored by
-    the family's registered scorer.  Repeated candidates are dropped (the
-    first is kept) and a single candidate skips CV.  The model's metadata is
-    the CV summary plus the metadata of the final fit.
+    ``fit(candidates, X, y, rows, rngs)`` fits every candidate on the given
+    rows of X, with ``rngs[c]`` for candidate c.  It is a generator that
+    yields, per candidate in order, ``(model_params, metadata)`` or the
+    FIT_ERRORS exception the fit raised, so each candidate is scored (by the
+    family's registered scorer) before the next is fitted.  It is called once
+    per CV fold and once for the final refit, whose error is raised here.
+    Repeated candidates are dropped (the first is kept) and a single
+    candidate skips CV.  The model's metadata is the CV summary plus the
+    metadata of the final fit.
     """
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)
-    if rng is None:
-        rng = np.random.default_rng(0)
     candidates = [dict(items) for items in
                   dict.fromkeys(tuple(params.items()) for params in candidates)]
     selected, cv_meta = candidates[0], {}
     if len(candidates) > 1:
         score = SCORERS[family]
-        fold = [None, None]    # a fold's validation rows and their X, sliced once
 
-        def fit_score(params, train_idx, valid_idx, child, state):
-            if fold[0] is not valid_idx:
-                fold[:] = valid_idx, X[valid_idx]
-            model_params, _, state = fit(params, X, y, train_idx, child, state)
-            return score(model_params, fold[1]), state
+        def fit_fold(candidates, train_idx, valid_idx, rngs):
+            X_valid = X[valid_idx]
+            for outcome in fit(candidates, X, y, train_idx, rngs):
+                failed = isinstance(outcome, FIT_ERRORS)
+                yield outcome if failed else score(outcome[0], X_valid)
 
-        cv = cross_validate(candidates, X, y, fit_score, rng, folds=folds,
+        cv = cross_validate(candidates, X, y, fit_fold, rng, folds=folds,
                             prefer=prefer, groups=groups, group_folds=group_folds)
         selected = cv.selected
         cv_meta = {"cv_table": cv.table(), "folds": cv.folds,
                    "cv_mean_auc": cv.selected_mean_auc}
-    model_params, metadata, _ = fit(selected, X, y, slice(None), rng, None)
+    outcome = next(fit([selected], X, y, slice(None), [rng]))
+    if isinstance(outcome, FIT_ERRORS):
+        raise outcome
+    model_params, metadata = outcome
     names = list(feature_names) if feature_names is not None else [
         f"x{j}" for j in range(X.shape[1])
     ]

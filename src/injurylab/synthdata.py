@@ -123,10 +123,6 @@ class GeneratedCohort:
     truth: list[TruthRow]
     config: CohortConfig
 
-    @property
-    def session_day_count(self) -> int:
-        return len({(s.athlete_id, s.date) for s in self.sessions})
-
 
 def _season_start(config: CohortConfig, season: int) -> dt.date:
     return dt.date(season, config.season_start_month, config.season_start_day)

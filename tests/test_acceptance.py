@@ -17,9 +17,9 @@ from injurylab import load_metrics as lm
 from injurylab.cli import main as cli_main
 from injurylab.metrics import (auc, binomial_sign_test_p, operating_metrics,
                                optimal_operating_point, roc_curve)
-from injurylab.models import (ModelSpec, fit_elastic_net_raw, fit_gee_ar1,
-                              fit_logistic_irls, fit_model, fit_random_forest,
-                              fit_svm_rbf, log_loss, sigmoid, smooth_gradient)
+from injurylab.models import (ModelSpec, candidate_grid, fit_elastic_net_raw,
+                              fit_gee_ar1, fit_logistic_irls, fit_model, log_loss,
+                              sigmoid, smooth_gradient)
 from injurylab.pipeline import (Protocol, PipelineSettings, learning_curve,
                                 modeling_data_from_records, run_pipeline_once)
 from injurylab.preprocess import (PmmImputer, apply_standardize, pca_fit,
@@ -322,14 +322,14 @@ def test_criterion_06_model_correctness_suite():
         # separable fixtures: perfect training AUC
         X_sep = rng.normal(size=(150, 3))
         y_sep = (X_sep[:, 1] > 0.2).astype(float)
-        forest = fit_random_forest(X_sep, y_sep, n_trees=40, max_features=3,
-                                   min_leaf=1, rng=np.random.default_rng(1))
+        forest = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=40, max_features=3, min_leaf=1)), X_sep, y_sep, np.random.default_rng(1))
         assert auc(forest.score(X_sep), y_sep) == 1.0
         centers = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=float)
         X_xor = np.repeat(centers, 15, axis=0) + rng.normal(0, 0.12, size=(60, 2))
         y_xor = np.repeat([0.0, 0.0, 1.0, 1.0], 15)
-        svm = fit_svm_rbf(X_xor, y_xor, C=(10.0,), gamma=(1.0,),
-                          rng=np.random.default_rng(2))
+        svm = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(10.0,), gamma=(1.0,))),
+                        X_xor, y_xor, np.random.default_rng(2))
         assert auc(svm.score(X_xor), y_xor) == 1.0
 
         # label-permutation null: every family inside [0.42, 0.58] over 50 sims

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from injurylab.metrics import auc
-from injurylab.models import (fit_random_forest, fit_random_forest_raw,
-                              load_model, resolve_max_features, save_model)
+from injurylab.models import (ModelSpec, candidate_grid, fit_model,
+                              fit_random_forest_raw, load_model,
+                              resolve_max_features, save_model)
 from injurylab.models.forest import _forest_votes, _tree_leaf_values
 
 
@@ -21,8 +22,8 @@ class TestRandomForest:
     def test_memorizes_axis_aligned_rule(self, rng):
         X = rng.normal(size=(200, 4))
         y = (X[:, 2] > 0.3).astype(float)
-        model = fit_random_forest(X, y, n_trees=50, max_features=4, min_leaf=1,
-                                  rng=np.random.default_rng(0))
+        model = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=50, max_features=4, min_leaf=1)), X, y, np.random.default_rng(0))
         scores = model.score(X)
         assert np.all((scores > 0.5) == (y == 1))
         assert auc(scores, y) == 1.0
@@ -30,10 +31,10 @@ class TestRandomForest:
     def test_same_seed_same_forest(self, rng):
         X = rng.normal(size=(120, 5))
         y = (X[:, 0] + rng.normal(scale=0.5, size=120) > 0).astype(float)
-        a = fit_random_forest(X, y, n_trees=20, max_features="sqrt", min_leaf=1,
-                              rng=np.random.default_rng(9))
-        b = fit_random_forest(X, y, n_trees=20, max_features="sqrt", min_leaf=1,
-                              rng=np.random.default_rng(9))
+        a = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=20, max_features="sqrt", min_leaf=1)), X, y, np.random.default_rng(9))
+        b = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=20, max_features="sqrt", min_leaf=1)), X, y, np.random.default_rng(9))
         np.testing.assert_array_equal(a.score(X), b.score(X))
         for tree_a, tree_b in zip(a.params["trees"], b.params["trees"]):
             np.testing.assert_array_equal(tree_a["feature"], tree_b["feature"])
@@ -68,8 +69,8 @@ class TestRandomForest:
     def test_min_leaf_respected(self, rng):
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_random_forest(X, y, n_trees=10, max_features=3, min_leaf=8,
-                                  rng=np.random.default_rng(1))
+        model = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=10, max_features=3, min_leaf=8)), X, y, np.random.default_rng(1))
         for tree in model.params["trees"]:
             leaves = tree["feature"] == -1
             # leaf values are fractions over >= min_leaf samples
@@ -78,16 +79,17 @@ class TestRandomForest:
     def test_cv_over_grid(self, rng):
         X = rng.normal(size=(150, 4))
         y = (X[:, 1] > 0).astype(float)
-        model = fit_random_forest(X, y, n_trees=(20,), max_features=("sqrt", "third"),
-                                  min_leaf=(1,), folds=3, rng=np.random.default_rng(2))
+        model = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=(20,), max_features=("sqrt", "third"), min_leaf=(1,)), folds=3),
+            X, y, np.random.default_rng(2))
         assert model.hyperparams["max_features"] in ("sqrt", "third")
         assert "cv_table" in model.metadata
 
     def test_serialization_roundtrip(self, rng, tmp_path):
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_random_forest(X, y, n_trees=8, max_features=2, min_leaf=1,
-                                  rng=np.random.default_rng(3))
+        model = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=8, max_features=2, min_leaf=1)), X, y, np.random.default_rng(3))
         path = tmp_path / "rf.json"
         save_model(model, path)
         clone = load_model(path)
@@ -96,8 +98,8 @@ class TestRandomForest:
     def test_vote_fraction_range(self, rng):
         X = rng.normal(size=(100, 3))
         y = (rng.random(100) < 0.3).astype(float)
-        model = fit_random_forest(X, y, n_trees=15, max_features="sqrt", min_leaf=1,
-                                  rng=np.random.default_rng(5))
+        model = fit_model(ModelSpec("random_forest", candidate_grid(
+            n_trees=15, max_features="sqrt", min_leaf=1)), X, y, np.random.default_rng(5))
         scores = model.score(rng.normal(size=(40, 3)))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from injurylab.metrics import auc
-from injurylab.models import (ConvergenceError, fit_elastic_net_raw,
-                              fit_logistic_elastic_net, fit_logistic_irls,
-                              fit_univariate_family, fit_univariate_logistic,
-                              load_model, log_loss, save_model, sigmoid,
-                              smooth_gradient)
+from injurylab.models import linear
+from injurylab.models import (ConvergenceError, ModelSpec, candidate_grid,
+                              fit_elastic_net_raw, fit_logistic_irls, fit_model,
+                              fit_univariate_logistic, load_model, log_loss,
+                              save_model, sigmoid, smooth_gradient)
 
 
 def logistic_data(rng, n=300, p=5, intercept=-1.0, scale=1.0):
@@ -95,8 +95,9 @@ class TestElasticNetSolver:
 class TestElasticNetModel:
     def test_cv_fit_and_score(self, rng):
         X, y = logistic_data(rng, n=400)
-        model = fit_logistic_elastic_net(X, y, lambdas=(1e-3, 1e-1),
-                                         alphas=(0.5,), folds=5, rng=rng)
+        model = fit_model(ModelSpec("logistic_elastic_net",
+                                    candidate_grid(lam=(1e-3, 1e-1), alpha=(0.5,)),
+                                    folds=5), X, y, rng)
         assert model.family == "logistic_elastic_net"
         assert set(model.hyperparams) == {"lam", "alpha"}
         scores = model.score(X)
@@ -105,22 +106,58 @@ class TestElasticNetModel:
 
     def test_single_candidate_skips_cv(self, rng):
         X, y = logistic_data(rng)
-        model = fit_logistic_elastic_net(X, y, lambdas=(0.01,), alphas=(1.0,), rng=rng)
+        model = fit_model(ModelSpec("logistic_elastic_net",
+                                    candidate_grid(lam=(0.01,), alpha=(1.0,))), X, y, rng)
         assert model.hyperparams == {"lam": 0.01, "alpha": 1.0}
         assert "cv_table" not in model.metadata
 
     def test_serialization_roundtrip(self, rng, tmp_path):
         X, y = logistic_data(rng)
-        model = fit_logistic_elastic_net(X, y, lambdas=(0.01,), alphas=(0.5,), rng=rng)
+        model = fit_model(ModelSpec("logistic_elastic_net",
+                                    candidate_grid(lam=(0.01,), alpha=(0.5,))), X, y, rng)
         path = tmp_path / "model.json"
         save_model(model, path)
         clone = load_model(path)
         np.testing.assert_allclose(clone.score(X), model.score(X), atol=1e-12)
 
+    def test_warm_start_chain_within_each_fold(self, rng, monkeypatch):
+        X, y = logistic_data(rng, n=120, p=3)
+        original = linear.fit_elastic_net_raw
+        calls = []
+
+        def recording(X, y, lam, alpha, init=None):
+            calls.append({"lam": lam, "alpha": alpha, "init": init})
+            if (lam, alpha) == (0.1, 0.5):
+                raise ConvergenceError("no")
+            calls[-1]["out"] = original(X, y, lam, alpha, init=init)
+            return calls[-1]["out"]
+
+        monkeypatch.setattr(linear, "fit_elastic_net_raw", recording)
+        grid = candidate_grid(lam=(1.0, 0.1, 0.01), alpha=(0.5, 1.0))
+        with pytest.warns(UserWarning, match="failed on fold"):
+            fit_model(ModelSpec("logistic_elastic_net", grid, folds=3), X, y, rng)
+        assert len(calls) == 3 * 6 + 1
+        order = [(1.0, 0.5), (0.1, 0.5), (0.01, 0.5), (1.0, 1.0), (0.1, 1.0), (0.01, 1.0)]
+        # fold start, after the failure and at the alpha change: cold;
+        # otherwise the previous candidate's (b, beta)
+        warm = [False, True, False, False, True, True]
+        for fold in range(3):
+            chain = calls[6 * fold:6 * fold + 6]
+            assert [(call["lam"], call["alpha"]) for call in chain] == order
+            for previous, call, is_warm in zip([None] + chain, chain, warm):
+                if is_warm:
+                    b, beta, _ = previous["out"]
+                    assert call["init"][0] == b and call["init"][1] is beta
+                else:
+                    assert call["init"] is None
+        assert calls[-1]["init"] is None       # the final refit starts cold
+
     def test_single_class_rejected(self, rng):
         X = rng.normal(size=(20, 2))
         with pytest.raises(ValueError, match="single-class"):
-            fit_logistic_elastic_net(X, np.ones(20), lambdas=(0.1,), alphas=(0.5,))
+            fit_model(ModelSpec("logistic_elastic_net",
+                                candidate_grid(lam=(0.1,), alpha=(0.5,))),
+                      X, np.ones(20), np.random.default_rng(0))
 
 
 class TestUnivariateLogistic:
@@ -164,12 +201,14 @@ class TestUnivariateFamily:
         signal = rng.normal(size=n)
         X = np.column_stack([rng.normal(size=n), signal, rng.normal(size=n)])
         y = (rng.random(n) < sigmoid(2.0 * signal - 1.0)).astype(float)
-        model = fit_univariate_family(X, y, folds=5, rng=rng,
-                                      feature_names=["a", "b", "c"])
+        model = fit_model(ModelSpec("univariate_logistic",
+                                    candidate_grid(column=[0, 1, 2]), folds=5),
+                          X, y, rng, feature_names=["a", "b", "c"])
         assert model.hyperparams["column"] == 1
         assert model.score(X).shape == (n,)
 
     def test_column_subset_grid(self, rng):
         X, y = logistic_data(rng, n=200, p=4)
-        model = fit_univariate_family(X, y, columns=[2], rng=rng)
+        model = fit_model(ModelSpec("univariate_logistic", candidate_grid(column=[2])),
+                          X, y, rng)
         assert model.params["column"] == 2

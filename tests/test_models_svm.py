@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from injurylab.metrics import auc
-from injurylab.models import (fit_svm_rbf, fit_svm_rbf_raw, load_model,
-                              rbf_kernel, save_model)
+from injurylab.models import (ModelSpec, candidate_grid, fit_model, fit_svm_rbf_raw,
+                              load_model, rbf_kernel, save_model)
 
 
 def xor_data(rng, per_cluster=20, noise=0.15):
@@ -36,15 +36,15 @@ class TestSvmRbf:
 
     def test_xor_pattern_training_auc(self, rng):
         X, y = xor_data(rng)
-        model = fit_svm_rbf(X, y, C=(10.0,), gamma=(1.0,),
-                            rng=np.random.default_rng(0))
+        model = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(10.0,), gamma=(1.0,))),
+                          X, y, np.random.default_rng(0))
         assert auc(model.score(X), y) == 1.0
 
     def test_duplicate_rows_mixed_labels_bounded(self):
         X = np.zeros((8, 2))
         y = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=float)
-        model = fit_svm_rbf(X, y, C=(1.0,), gamma=(0.1,),
-                            rng=np.random.default_rng(0))
+        model = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(1.0,), gamma=(0.1,))),
+                          X, y, np.random.default_rng(0))
         scores = model.score(X)
         assert np.all(np.isfinite(scores))
         assert np.abs(scores).max() < 10.0
@@ -52,22 +52,25 @@ class TestSvmRbf:
     def test_same_seed_same_model(self, rng):
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(float)
-        a = fit_svm_rbf(X, y, C=(1.0,), gamma=(0.5,), rng=np.random.default_rng(3))
-        b = fit_svm_rbf(X, y, C=(1.0,), gamma=(0.5,), rng=np.random.default_rng(3))
+        a = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(1.0,), gamma=(0.5,))),
+                      X, y, np.random.default_rng(3))
+        b = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(1.0,), gamma=(0.5,))),
+                      X, y, np.random.default_rng(3))
         np.testing.assert_array_equal(a.score(X), b.score(X))
 
     def test_cv_grid_selection(self, rng):
         X = rng.normal(size=(120, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
-        model = fit_svm_rbf(X, y, C=(0.1, 1.0), gamma=(0.1,), folds=4,
-                            rng=np.random.default_rng(1))
+        model = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(0.1, 1.0), gamma=(0.1,)),
+                                    folds=4), X, y, np.random.default_rng(1))
         assert model.hyperparams["C"] in (0.1, 1.0)
         assert "cv_table" in model.metadata
 
     def test_serialization_roundtrip(self, rng, tmp_path):
         X = rng.normal(size=(40, 2))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_svm_rbf(X, y, C=(1.0,), gamma=(0.5,), rng=np.random.default_rng(2))
+        model = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(1.0,), gamma=(0.5,))),
+                          X, y, np.random.default_rng(2))
         path = tmp_path / "svm.json"
         save_model(model, path)
         clone = load_model(path)

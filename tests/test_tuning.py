@@ -4,17 +4,30 @@ import numpy as np
 import pytest
 
 from injurylab.models import (ConvergenceError, ModelSpec, candidate_grid, cross_validate,
-                              effective_folds, fit_logistic_elastic_net,
-                              fit_logistic_irls, fit_model, grouped_fold_ids,
-                              sigmoid, stratified_fold_ids)
+                              effective_folds, fit_logistic_irls, fit_model,
+                              grouped_fold_ids, sigmoid, stratified_fold_ids)
+from injurylab.models.tuning import each_candidate, tune
 
 
-def univariate_fit_score(X, y):
-    def fit_score(params, train_idx, valid_idx, child, state):
+def univariate_fit_fold(X, y):
+    def fit_fold(candidates, train_idx, valid_idx, rngs):
+        for params in candidates:
+            j = params["column"]
+            b, beta = fit_logistic_irls(X[train_idx, j:j + 1], y[train_idx])
+            yield sigmoid(b + beta[0] * X[valid_idx, j])
+    return fit_fold
+
+
+def failing_univariate(fails):
+    """The univariate family's fit for tune, raising ConvergenceError for a
+    column wherever ``fails(column, n_rows)`` holds."""
+    def fit_one(params, X_rows, y_rows, rng):
         j = params["column"]
-        b, beta = fit_logistic_irls(X[train_idx, j:j + 1], y[train_idx])
-        return sigmoid(b + beta[0] * X[valid_idx, j]), None
-    return fit_score
+        if fails(j, X_rows.shape[0]):
+            raise ConvergenceError(f"column {j} did not converge")
+        b, beta = fit_logistic_irls(X_rows[:, j:j + 1], y_rows)
+        return {"intercept": b, "slope": float(beta[0]), "column": j}, {}
+    return each_candidate(fit_one)
 
 
 class TestFolds:
@@ -56,7 +69,7 @@ class TestCrossValidate:
     def test_single_candidate_selected(self, rng):
         X = rng.normal(size=(80, 2))
         y = (X[:, 0] > 0).astype(float)
-        result = cross_validate([{"column": 0}], X, y, univariate_fit_score(X, y),
+        result = cross_validate([{"column": 0}], X, y, univariate_fit_fold(X, y),
                                 rng, folds=4)
         assert result.selected == {"column": 0}
 
@@ -64,22 +77,42 @@ class TestCrossValidate:
         X = rng.normal(size=(200, 3))
         y = (rng.random(200) < sigmoid(3.0 * X[:, 1])).astype(float)
         result = cross_validate([{"column": j} for j in range(3)], X, y,
-                                univariate_fit_score(X, y), rng, folds=5)
+                                univariate_fit_fold(X, y), rng, folds=5)
         assert result.selected["column"] == 1
         assert len(result.results) == 3
 
     def test_every_row_scored_once_per_candidate(self, rng):
         X = rng.normal(size=(50, 1))
         y = (rng.random(50) < 0.4).astype(float)
-        seen = []
+        seen, calls = [], []
 
-        def tracking(params, train_idx, valid_idx, child, state):
-            seen.extend(valid_idx.tolist())
-            return X[valid_idx, 0], None
+        def tracking(candidates, train_idx, valid_idx, rngs):
+            calls.append(len(candidates))
+            for _ in candidates:
+                seen.extend(valid_idx.tolist())
+                yield X[valid_idx, 0]
 
         cross_validate([{"column": 0}, {"column": 0}], X, y, tracking, rng, folds=5)
-        # two candidates -> every row appears exactly twice
+        # one call per fold; two candidates -> every row appears exactly twice
+        assert calls == [2] * 5
         assert sorted(seen) == sorted(list(range(50)) * 2)
+
+    def test_candidate_rngs_follow_fold_major_order(self):
+        X = np.zeros((40, 1))
+        y = np.tile([0.0, 1.0], 20)
+        draws = []
+
+        def drawing(candidates, train_idx, valid_idx, rngs):
+            for child in rngs:
+                draws.append(child.integers(2**62))
+                yield valid_idx.astype(float)
+
+        cross_validate([{"c": c} for c in range(3)], X, y, drawing,
+                       np.random.default_rng(7), folds=4)
+        # candidate c on fold f gets the (f * 3 + c)-th spawned generator
+        expected = [child.integers(2**62)
+                    for child in np.random.default_rng(7).spawn(4 * 3)]
+        assert draws == expected
 
     def test_permutation_null_band(self):
         selected_aucs = []
@@ -89,7 +122,7 @@ class TestCrossValidate:
             y = np.zeros(120, dtype=float)
             y[rng.choice(120, 30, replace=False)] = 1.0  # labels independent of X
             result = cross_validate([{"column": j} for j in range(3)], X, y,
-                                    univariate_fit_score(X, y), rng, folds=5)
+                                    univariate_fit_fold(X, y), rng, folds=5)
             selected_aucs.append(result.selected_mean_auc)
         assert 0.4 <= float(np.mean(selected_aucs)) <= 0.6
 
@@ -97,29 +130,51 @@ class TestCrossValidate:
         X = rng.normal(size=(40, 1))
         y = (rng.random(40) < 0.5).astype(float)
 
-        def constant_scores(params, train_idx, valid_idx, child, state):
-            return np.zeros(valid_idx.size), None     # every candidate ties at 0.5
+        def constant_scores(candidates, train_idx, valid_idx, rngs):
+            for _ in candidates:
+                yield np.zeros(valid_idx.size)     # every candidate ties at 0.5
 
         result = cross_validate([{"size": 3}, {"size": 1}, {"size": 2}], X, y,
                                 constant_scores, rng, folds=4,
                                 prefer=lambda prm: -prm["size"])
         assert result.selected == {"size": 1}
 
-    def test_state_passes_along_and_resets_after_a_failure(self, rng):
-        X = rng.normal(size=(40, 1))
-        y = (rng.random(40) < 0.5).astype(float)
-        received = []
 
-        def chained(params, train_idx, valid_idx, child, state):
-            received.append((params["step"], state))
-            if params["step"] == 1:
-                raise ConvergenceError("no")
-            return X[valid_idx, 0], params["step"]
+class TestTuneFailures:
+    CANDIDATES = [{"column": j} for j in range(3)]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cross_validate([{"step": s} for s in range(4)], X, y, chained, rng, folds=2)
-        assert received == [(0, None), (1, 0), (2, None), (3, 2)] * 2
+    def data(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(90, 3))
+        y = (rng.random(90) < sigmoid(2.0 * X[:, 0])).astype(float)
+        return X, y
+
+    def test_candidate_failing_every_fold_is_never_selected(self):
+        X, y = self.data()
+        with pytest.warns(UserWarning, match="failed on fold"):
+            model = tune("univariate_logistic", self.CANDIDATES,
+                         failing_univariate(lambda j, n: j == 0 and n < 90), X, y,
+                         rng=np.random.default_rng(0), folds=3)
+        table = model.metadata["cv_table"]
+        assert table[0]["mean_auc"] == float("-inf")     # every fold AUC is NaN
+        assert all(np.isfinite(row["mean_auc"]) for row in table[1:])
+        assert model.hyperparams != {"column": 0}
+
+    def test_every_candidate_failing_raises(self):
+        X, y = self.data()
+        with pytest.raises(ConvergenceError, match="every candidate failed cross-validation"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tune("univariate_logistic", self.CANDIDATES,
+                     failing_univariate(lambda j, n: True), X, y,
+                     rng=np.random.default_rng(0), folds=3)
+
+    def test_failed_final_refit_raises(self):
+        X, y = self.data()
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            tune("univariate_logistic", self.CANDIDATES,
+                 failing_univariate(lambda j, n: n == 90), X, y,
+                 rng=np.random.default_rng(0), folds=3)
 
 
 class TestFitModelDispatch:
@@ -228,19 +283,19 @@ class TestGridVerbatim:
             fit_model(spec, X, y, np.random.default_rng(0), groups=groups)
 
     def test_entry_point_matches_lam_major_grid(self):
-        # same candidates in the same warm-start order, so the same bits
+        # a lam-major and an alpha-major grid run in the same warm-start
+        # order, so they give the same bits
         X, y = tiny_data(seed=1, n=80)
         lambdas, alphas = (1e-3, 1e-1, 1e-2), (1.0, 0.5)
-        direct = fit_logistic_elastic_net(X, y, lambdas=lambdas, alphas=alphas,
-                                          folds=3, rng=np.random.default_rng(4))
-        spec = ModelSpec("logistic_elastic_net", folds=3,
-                         grid=[{"lam": lam, "alpha": alpha}
-                               for lam in lambdas for alpha in alphas])
-        via_spec = fit_model(spec, X, y, np.random.default_rng(4))
-        assert ([row["params"] for row in direct.metadata["cv_table"]]
-                == [row["params"] for row in via_spec.metadata["cv_table"]]
+        lam_major, alpha_major = (
+            fit_model(ModelSpec("logistic_elastic_net", grid, folds=3), X, y,
+                      np.random.default_rng(4))
+            for grid in (candidate_grid(lam=lambdas, alpha=alphas),
+                         candidate_grid(alpha=alphas, lam=lambdas)))
+        assert ([row["params"] for row in lam_major.metadata["cv_table"]]
+                == [row["params"] for row in alpha_major.metadata["cv_table"]]
                 == [{"lam": lam, "alpha": alpha} for alpha in alphas
                     for lam in (1e-1, 1e-2, 1e-3)])
-        assert direct.hyperparams == via_spec.hyperparams
-        assert direct.params["intercept"] == via_spec.params["intercept"]
-        assert direct.params["beta"].tobytes() == via_spec.params["beta"].tobytes()
+        assert lam_major.hyperparams == alpha_major.hyperparams
+        assert lam_major.params["intercept"] == alpha_major.params["intercept"]
+        assert lam_major.params["beta"].tobytes() == alpha_major.params["beta"].tobytes()

@@ -55,6 +55,16 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_models_all_lists_only_bound_names():
+    # a stale entry would break only ``from injurylab.models import *``
+    import injurylab.models as models
+
+    source = (PACKAGE_DIR / "models" / "__init__.py").read_text()
+    exported = _exported_names(ast.parse(source))
+    assert exported and exported == set(models.__all__)
+    assert sorted(name for name in exported if not hasattr(models, name)) == []
+
+
 def test_checker_flags_unused_names():
     source = ("import os\nimport os.path as osp\nfrom math import pi, tau\n"
               "print(osp.sep, pi)\n")
