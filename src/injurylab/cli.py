@@ -3,7 +3,9 @@
 Subcommands: features, synth, train, predict, evaluate, simulate,
 learning-curve, describe.  Every command reads one config file, writes CSV
 reports plus a plain-text manifest under the output directory, and returns a
-nonzero exit code on any error.  train, evaluate, simulate and learning-curve
+nonzero exit code on any error.  Every CSV goes through `domain.write_csv`:
+data tables (features.csv, scores.csv) keep exact floats, reports round
+them to six significant digits.  train, evaluate, simulate and learning-curve
 run their cells through `pipeline.run_tasks`: a run that fails is listed in a
 status CSV, the runs that succeeded are written, and the exit code is 3.
 """
@@ -11,7 +13,6 @@ status CSV, the runs that succeeded are written, and the exit code is 3.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -21,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .domain import (DataError, ParseError, parse_athletes, parse_injuries,
-                     parse_sessions, split_by_season)
+from .domain import (DataError, ParseError, csv_bool, parse_athletes,
+                     parse_injuries, parse_sessions, split_by_season, write_csv)
 from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
                       roc_curve, subgroup_auc)
 from .models import ModelSpec, candidate_grid
@@ -34,38 +35,15 @@ from .runconfig import ConfigError, RunConfig, example_config, load_config
 from .synthdata import (CohortConfig, generate_cohort, null_config,
                         signal_config, write_cohort_csvs)
 
-_FLOAT_FMT = ".6g"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if value != value:
-            return "nan"
-        return format(value, _FLOAT_FMT)
-    return str(value)
-
-
-def _fmt_exact(value) -> str:
-    if value is None or (isinstance(value, float) and value != value):
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _fmt(value: float) -> str:
+    """A report figure, to six significant digits."""
+    return format(value, ".6g")
 
 
 def _write_csv(manifest, name, header, rows) -> None:
     """Write one CSV report under the output directory and record it."""
     path = os.path.join(manifest.out_dir, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(path, header, rows)
     manifest.add_output(path)
 
 
@@ -190,13 +168,15 @@ def cmd_features(cfg: RunConfig, manifest: Manifest) -> int:
     panel, features = _load_modeling_inputs(cfg)
     header = (["athlete_id", "date", "season", "new_player"] + features.columns
               + list(panel.labels.keys()))
-    rows = []
-    for i in range(len(panel)):
-        row = [panel.athlete_ids[i], panel.dates[i].isoformat(),
-               int(panel.seasons[i]), _fmt_exact(bool(panel.new_player[i]))]
-        row += [_fmt_exact(v) for v in features.values[i]]
-        row += [int(panel.labels[key][i]) for key in panel.labels]
-        rows.append(row)
+    values = np.where(np.isnan(features.values), None, features.values).tolist()
+    labels = np.column_stack(list(panel.labels.values())).tolist()
+    rows = [
+        [athlete_id, date.isoformat(), season, csv_bool(new_player),
+         *feature_row, *label_row]
+        for athlete_id, date, season, new_player, feature_row, label_row
+        in zip(panel.athlete_ids, panel.dates, panel.seasons.tolist(),
+               panel.new_player.tolist(), values, labels)
+    ]
     _write_csv(manifest, "features.csv", header, rows)
     return 0
 
@@ -253,9 +233,10 @@ def cmd_predict(cfg: RunConfig, manifest: Manifest, model_path: str) -> int:
     transformed = bundle.transform(features.values, rng)
     scores = model.score(transformed)
     rows = [
-        [panel.athlete_ids[i], panel.dates[i].isoformat(), int(panel.seasons[i]),
-         _fmt_exact(float(scores[i]))]
-        for i in range(len(panel))
+        [athlete_id, date.isoformat(), season, score]
+        for athlete_id, date, season, score
+        in zip(panel.athlete_ids, panel.dates, panel.seasons.tolist(),
+               scores.tolist())
     ]
     _write_csv(manifest, "scores.csv", ["athlete_id", "date", "season", "score"], rows)
     return 0
@@ -337,7 +318,7 @@ def cmd_simulate(cfg: RunConfig, manifest: Manifest) -> int:
         summary_rows.append([
             cell.family, cell.outcome, cell.protocol, summary.n_sims,
             cell.n_completed, _fmt(cell.mean_auc), _fmt(cell.sd_auc),
-            "true" if cell.single_run else "false",
+            csv_bool(cell.single_run),
             "complete" if cell.complete else "incomplete",
         ])
         for sim, value in enumerate(cell.aucs):

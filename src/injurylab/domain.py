@@ -4,7 +4,9 @@ Ingests session, injury and roster CSVs, builds the daily observation panel
 (one row per athlete per training/match day), attaches binary outcome labels
 and performs season-based train/test splits.
 
-File conventions: ISO-8601 dates, empty field = missing, booleans true/false.
+File conventions: ISO-8601 dates, empty field = missing, booleans true/false,
+floats written exactly.  They hold for writing too: every CSV the package
+emits goes through `write_csv`, with booleans spelled by `csv_bool`.
 """
 
 from __future__ import annotations
@@ -136,7 +138,24 @@ class SplitDataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV parsing
+# CSV reading and writing
+
+
+def csv_bool(value) -> str:
+    """The file spelling of a boolean, the inverse of `_parse_bool`."""
+    return "true" if value else "false"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of str, int, float or None cells.
+
+    `csv` writes None as the empty field and a float with `str()`, which
+    equals `repr()`, so every float reads back to the same bits.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _open_rows(path, expected_header, kind):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ from .load_metrics import (MONOTONY_CAP, FeatureMatrix, build_feature_matrix,
                            build_load_series)
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import model_from_dict, model_to_dict
+from .models.base import _ArrayEncoder, model_from_dict, model_to_dict
 from .preprocess import PcaProjection, PmmImputer, impute_session_values
 
 #: stage names -> fixed substream ids
@@ -562,36 +563,23 @@ def learning_curve(data: ModelingData, outcome: str, spec: ModelSpec,
 BUNDLE_VERSION = 1
 
 
-def bundle_to_dict(run_bundle: PreprocessBundle, model: TrainedModel,
-                   extra: dict | None = None) -> dict:
-    return {
+def save_bundle(path, bundle: PreprocessBundle, model: TrainedModel,
+                extra: dict | None = None) -> None:
+    data = {
         "bundle_version": BUNDLE_VERSION,
-        "preprocess": run_bundle.to_dict(),
+        "preprocess": bundle.to_dict(),
         "model": model_to_dict(model),
         "extra": extra or {},
     }
+    with open(path, "w") as fh:
+        json.dump(data, fh, cls=_ArrayEncoder)
 
 
-def bundle_from_dict(data: dict) -> tuple[PreprocessBundle, TrainedModel, dict]:
+def load_bundle(path) -> tuple[PreprocessBundle, TrainedModel, dict]:
+    with open(path) as fh:
+        data = json.load(fh)
     if data.get("bundle_version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {data.get('bundle_version')!r}")
     return (PreprocessBundle.from_dict(data["preprocess"]),
             model_from_dict(data["model"]),
             data.get("extra", {}))
-
-
-def save_bundle(path, bundle: PreprocessBundle, model: TrainedModel,
-                extra: dict | None = None) -> None:
-    import json
-
-    from .models.base import _ArrayEncoder
-
-    with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle, model, extra), fh, cls=_ArrayEncoder)
-
-
-def load_bundle(path) -> tuple[PreprocessBundle, TrainedModel, dict]:
-    import json
-
-    with open(path) as fh:
-        return bundle_from_dict(json.load(fh))

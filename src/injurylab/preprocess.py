@@ -273,18 +273,14 @@ def pca_fit(X, threshold: float = PCA_THRESHOLD) -> PcaProjection:
         raise ValueError("matrix contains non-finite entries")
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    n, p = X.shape
-    means = X.mean(axis=0)
-    scales = X.std(axis=0, ddof=1) if n > 1 else np.zeros(p)
-    scales = np.where(scales < _ZERO_VAR, 1.0, scales)
-    Z = (X - means) / scales
+    Z, means, scales = standardize(X)
     _, s, vt = np.linalg.svd(Z, full_matrices=False)
     var = s ** 2
     total = var.sum()
     if total <= 0.0:
         raise ValueError("matrix has no variance")
     fractions = var / total
-    rank = int(np.sum(s > s[0] * max(n, p) * np.finfo(float).eps)) if s.size else 0
+    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps)) if s.size else 0
     rank = max(rank, 1)
     cumulative = np.cumsum(fractions)
     k = int(np.searchsorted(cumulative, threshold - 1e-12) + 1)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AthleteProfile, InjuryRecord, SessionRecord
+from .domain import (ATHLETES_HEADER, INJURIES_HEADER, SESSIONS_HEADER,
+                     AthleteProfile, InjuryRecord, SessionRecord, csv_bool,
+                     write_csv)
 from .load_metrics import CHRONIC_WINDOW, acwr, rolling_average
 
 TRAINING_OFFSETS = (0, 1, 3, 4)   # weekly pattern, day 5 is the match
@@ -283,53 +286,29 @@ def null_cohort(config: CohortConfig) -> GeneratedCohort:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (exactly the schemas the ingest side consumes)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# CSV emission: exactly the schemas the ingest side consumes, written through
+# `domain.write_csv` in the conventions its parsers read
 
 
 def write_cohort_csvs(cohort: GeneratedCohort, out_dir) -> dict:
     """Write sessions/injuries/athletes CSVs; returns the file paths."""
-    import csv
-    import os
-
-    from .domain import ATHLETES_HEADER, INJURIES_HEADER, SESSIONS_HEADER
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "sessions": os.path.join(out_dir, "sessions.csv"),
-        "injuries": os.path.join(out_dir, "injuries.csv"),
-        "athletes": os.path.join(out_dir, "athletes.csv"),
-    }
-    with open(paths["sessions"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SESSIONS_HEADER)
-        for s in cohort.sessions:
-            writer.writerow([
-                s.athlete_id, s.date.isoformat(), s.season, s.session_type,
-                _fmt(s.duration_min), _fmt(s.rpe), _fmt(s.distance_m),
-                _fmt(s.msr_m), _fmt(s.hsr_m), _fmt(s.player_load),
-                _fmt(s.rehab_flag),
-            ])
-    with open(paths["injuries"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INJURIES_HEADER)
-        for inj in cohort.injuries:
-            writer.writerow([inj.athlete_id, inj.date.isoformat(), inj.contact,
-                             inj.severity, _fmt(inj.hamstring)])
-    with open(paths["athletes"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ATHLETES_HEADER)
-        for athlete in cohort.athletes:
-            writer.writerow([athlete.athlete_id,
-                             athlete.date_of_birth.isoformat(),
-                             athlete.first_season])
+    paths = {name: os.path.join(out_dir, f"{name}.csv")
+             for name in ("sessions", "injuries", "athletes")}
+    write_csv(paths["sessions"], SESSIONS_HEADER, [
+        [s.athlete_id, s.date.isoformat(), s.season, s.session_type,
+         s.duration_min, s.rpe, s.distance_m, s.msr_m, s.hsr_m, s.player_load,
+         csv_bool(s.rehab_flag)]
+        for s in cohort.sessions
+    ])
+    write_csv(paths["injuries"], INJURIES_HEADER, [
+        [inj.athlete_id, inj.date.isoformat(), inj.contact, inj.severity,
+         csv_bool(inj.hamstring)]
+        for inj in cohort.injuries
+    ])
+    write_csv(paths["athletes"], ATHLETES_HEADER, [
+        [athlete.athlete_id, athlete.date_of_birth.isoformat(),
+         athlete.first_season]
+        for athlete in cohort.athletes
+    ])
     return paths

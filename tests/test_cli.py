@@ -8,6 +8,7 @@ import pytest
 
 from injurylab import models, pipeline
 from injurylab.cli import main, model_spec_for
+from injurylab.domain import parse_athletes, parse_injuries, parse_sessions
 from injurylab.models import ModelSpec
 from injurylab.runconfig import (_SECTIONS, ConfigError, RunConfig, example_config,
                                  load_config)
@@ -106,6 +107,27 @@ class TestFeaturesCommand:
         assert header[-6:] == ["nc", "nctl", "hs", "nc_lag", "nctl_lag", "hs_lag"]
         assert len(header) == 4 + 60 + 6
         assert len(rows) > 100
+
+    def test_values_round_trip_exactly(self, workspace, tmp_path):
+        _, config = workspace
+        out = tmp_path / "features"
+        assert main(["features", "--config", config, "--out", str(out)]) == 0
+        cfg = load_config(config)
+        panel, features = pipeline.features_from_records(
+            parse_sessions(cfg.sessions), parse_injuries(cfg.injuries),
+            parse_athletes(cfg.athletes), seed=cfg.seed, lag_days=cfg.lag_days,
+            monotony_cap=cfg.monotony_cap, pmm_donors=cfg.pmm_donors)
+        rows = read_csv(out / "features.csv")[1:]
+        assert len(rows) == len(panel)
+        assert [row[3] for row in rows] == [
+            "true" if new else "false" for new in panel.new_player]
+        assert any(row[3] == "true" for row in rows)
+        written = np.array([[float(field) if field else np.nan for field in row[4:64]]
+                            for row in rows])
+        missing = np.isnan(features.values)
+        assert missing.any() and np.array_equal(np.isnan(written), missing)
+        assert np.array_equal(written[~missing].view(np.int64),
+                              features.values[~missing].view(np.int64))
 
 
 class TestTrainPredict:

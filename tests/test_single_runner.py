@@ -11,12 +11,10 @@ PACKAGE_DIR = Path(injurylab.__file__).parent
 TARGET = "run_pipeline_once"
 
 
-def referring_functions(source: str, name: str = TARGET) -> list[str]:
-    """The top-level function or ``Class.method`` that holds each reference
-    to ``name`` (a call or a bare use; the definition itself is none), or
-    ``<module>`` for a reference outside any function."""
+def scoped_nodes(source: str):
+    """Each AST node of ``source`` with the top-level function or
+    ``Class.method`` that holds it, or ``<module>`` outside any function."""
     tree = ast.parse(source)
-    found = []
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
@@ -28,10 +26,15 @@ def referring_functions(source: str, name: str = TARGET) -> list[str]:
             scopes = [("<module>", node)]
         for scope, body in scopes:
             for inner in ast.walk(body):
-                if ((isinstance(inner, ast.Name) and inner.id == name)
-                        or (isinstance(inner, ast.Attribute) and inner.attr == name)):
-                    found.append(scope)
-    return found
+                yield scope, inner
+
+
+def referring_functions(source: str, name: str = TARGET) -> list[str]:
+    """The scope of each reference to ``name`` (a call or a bare use; the
+    definition itself is none)."""
+    return [scope for scope, node in scoped_nodes(source)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
 
 
 def test_run_tasks_is_the_only_caller():

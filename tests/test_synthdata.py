@@ -17,6 +17,14 @@ def small_config(**kw):
     return CohortConfig(**defaults)
 
 
+def assert_round_trip(cohort, out_dir):
+    """Every record reads back from the emitted files exactly, floats to the bit."""
+    paths = write_cohort_csvs(cohort, out_dir)
+    assert parse_sessions(paths["sessions"]) == cohort.sessions
+    assert parse_injuries(paths["injuries"]) == cohort.injuries
+    assert parse_athletes(paths["athletes"]) == cohort.athletes
+
+
 class TestGenerateCohort:
     def test_deterministic_records(self):
         a = generate_cohort(small_config())
@@ -80,14 +88,17 @@ class TestGenerateCohort:
 
     def test_emitted_files_parse_cleanly(self, tmp_path):
         cohort = generate_cohort(small_config(missing_rate=0.1, seed=4))
-        paths = write_cohort_csvs(cohort, tmp_path)
-        sessions = parse_sessions(paths["sessions"])
-        injuries = parse_injuries(paths["injuries"])
-        athletes = parse_athletes(paths["athletes"])
-        assert len(sessions) == len(cohort.sessions)
-        assert len(injuries) == len(cohort.injuries)
-        assert len(athletes) == cohort.config.n_athletes
-        assert sessions[0] == cohort.sessions[0]   # exact float round-trip
+        assert_round_trip(cohort, tmp_path)
+        assert len(cohort.athletes) == cohort.config.n_athletes
+
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        cohort = generate_cohort(small_config(seed=4))
+        first = cohort.sessions[0]
+        cohort.sessions[0] = replace(
+            first, distance_m=np.float64(first.distance_m),
+            msr_m=np.float64(first.msr_m), hsr_m=np.float64(first.hsr_m),
+            player_load=np.float64(first.player_load), rehab_flag=np.bool_(True))
+        assert_round_trip(cohort, tmp_path)
 
     def test_rehab_follows_time_loss_injury(self):
         cohort = generate_cohort(small_config(seed=7, beta0=-3.5))
