@@ -12,6 +12,7 @@ import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
                    register_family, sigmoid)
+from .linear import _score_linear
 
 GEE_TOL = 1e-6
 GEE_MAX_ITER = 200
@@ -130,14 +131,10 @@ def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
     )
 
 
-def _score_gee(params, X):
-    return sigmoid(params["intercept"] + X @ np.asarray(params["beta"], dtype=float))
-
-
 def _decode_gee(params):
     return {"intercept": float(params["intercept"]),
             "beta": np.asarray(params["beta"], dtype=float),
             "working_alpha": float(params["working_alpha"])}
 
 
-register_family("gee_ar1", _score_gee, _decode_gee)
+register_family("gee_ar1", _score_linear, _decode_gee)

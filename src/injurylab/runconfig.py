@@ -91,8 +91,16 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= {low}")
         if self.smote_oversample_pct is not None and self.smote_oversample_pct < 0:
             raise ConfigError("smote_oversample_pct must be >= 0")
-        if not all(ratio > 0 for ratio in self.cost_ratios):
-            raise ConfigError("cost_ratios must all be > 0")
+        for name, rule, ok in (("cost_ratios", "> 0", lambda v: v > 0),
+                               ("svm_cost", "> 0", lambda v: v > 0),
+                               ("svm_gamma", "> 0", lambda v: v > 0),
+                               ("elastic_net_lambdas", ">= 0", lambda v: v >= 0),
+                               ("elastic_net_alphas", "in [0, 1]", lambda v: 0 <= v <= 1),
+                               ("rf_trees", ">= 1", lambda v: v >= 1),
+                               ("rf_min_leaf", ">= 1", lambda v: v >= 1)):
+            values = getattr(self, name)
+            if not values or not all(ok(value) for value in values):
+                raise ConfigError(f"{name} must be nonempty and all {rule}")
         if not self.lc_sizes or min(self.lc_sizes) < 10:
             raise ConfigError("[learning_curve] sizes must be nonempty and each >= 10")
         if self.lc_repeats < 1:

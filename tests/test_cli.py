@@ -430,6 +430,16 @@ class TestConfigTable:
         ("models", "families =", "families"),
         ("outcomes", "outcomes =", "outcomes"),
         ("preprocess", "protocols =", "protocols"),
+        ("models", "svm_cost = 1, 0", "svm_cost"),
+        ("models", "svm_cost = -1", "svm_cost"),
+        ("models", "svm_gamma = -1", "svm_gamma"),
+        ("models", "svm_gamma =", "svm_gamma"),
+        ("evaluate", "cost_ratios =", "cost_ratios"),
+        ("models", "elastic_net_lambdas = 0.1, -1e-3", "elastic_net_lambdas"),
+        ("models", "elastic_net_alphas = -0.5", "elastic_net_alphas"),
+        ("models", "elastic_net_alphas = 1.5", "elastic_net_alphas"),
+        ("models", "rf_trees = 0", "rf_trees"),
+        ("models", "rf_min_leaf = 0", "rf_min_leaf"),
     ])
     def test_bad_setting_rejected(self, tmp_path, section, setting, option):
         path = tmp_path / "bad.ini"
