@@ -11,9 +11,9 @@ ground truth for end-to-end validation.
 __version__ = "0.1.0"
 
 from .domain import (AthleteProfile, DailyPanel, InjuryRecord, SessionRecord,
-                     SplitDataset, build_daily_panel, injury_rate,
-                     label_outcomes, parse_athletes, parse_injuries,
-                     parse_sessions, split_by_season)
+                     SplitDataset, build_daily_panel, label_outcomes,
+                     parse_athletes, parse_injuries, parse_sessions,
+                     split_by_season)
 from .load_metrics import (FeatureMatrix, LoadSeriesSet, acwr,
                            build_feature_matrix, build_load_series, ew_acwr,
                            ewma, feature_columns, monotony7, rolling_average,
@@ -21,15 +21,13 @@ from .load_metrics import (FeatureMatrix, LoadSeriesSet, acwr,
 from .metrics import (OperatingPoint, RocCurve, auc, operating_metrics,
                       optimal_operating_point, rank_biserial, roc_curve,
                       subgroup_auc)
-from .models import (ModelSpec, TrainedModel, fit_gee_ar1, fit_model,
-                     fit_univariate_logistic, load_model, save_model)
+from .models import ModelSpec, TrainedModel, fit_gee_ar1, fit_model
 from .pipeline import (Cell, ModelingData, PipelineSettings, Protocol,
                        assemble_modeling_data, learning_curve,
                        run_pipeline_once, run_simulations)
 from .preprocess import (PcaProjection, PmmImputer, pca_fit, pca_transform,
                          pmm_impute, smote, standardize, undersample)
 from .synthdata import (CohortConfig, GeneratedCohort, generate_cohort,
-                        null_cohort, null_config, signal_config,
-                        write_cohort_csvs)
+                        null_config, signal_config, write_cohort_csvs)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

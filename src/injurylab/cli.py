@@ -23,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .domain import (DataError, ParseError, csv_bool, parse_athletes,
-                     parse_injuries, parse_sessions, split_by_season, write_csv)
+                     parse_injuries, parse_sessions, write_csv)
 from .metrics import (operating_metrics, optimal_operating_point, rank_biserial,
                       roc_curve, subgroup_auc)
 from .models import ModelSpec, candidate_grid
 from .pipeline import (Cell, PipelineSettings, Protocol, Task,
-                       assemble_modeling_data, features_from_records,
-                       learning_curve, load_bundle, pinned_blas_threads,
+                       features_from_records, learning_curve, load_bundle,
+                       modeling_data_from_records, pinned_blas_threads,
                        run_simulations, run_tasks, save_bundle, stream_rng)
 from .runconfig import ConfigError, RunConfig, example_config, load_config
 from .synthdata import (CohortConfig, generate_cohort, null_config,
@@ -110,22 +110,28 @@ def model_spec_for(cfg: RunConfig, family: str) -> ModelSpec:
                      group_folds=cfg.group_cv)
 
 
+def _records(cfg: RunConfig):
+    """The parsed sessions, injuries and athletes."""
+    cfg.require_inputs()
+    return (parse_sessions(cfg.sessions), parse_injuries(cfg.injuries),
+            parse_athletes(cfg.athletes))
+
+
+def _feature_options(cfg: RunConfig) -> dict:
+    return dict(seed=cfg.seed, lag_days=cfg.lag_days, monotony_cap=cfg.monotony_cap,
+                pmm_donors=cfg.pmm_donors)
+
+
 def _load_modeling_inputs(cfg: RunConfig):
     """Parse inputs, impute raw session fields, build panel + features."""
-    cfg.require_inputs()
-    sessions = parse_sessions(cfg.sessions)
-    injuries = parse_injuries(cfg.injuries)
-    athletes = parse_athletes(cfg.athletes)
-    return features_from_records(sessions, injuries, athletes, seed=cfg.seed,
-                                 lag_days=cfg.lag_days, monotony_cap=cfg.monotony_cap,
-                                 pmm_donors=cfg.pmm_donors)
+    return features_from_records(*_records(cfg), **_feature_options(cfg))
 
 
 def _modeling_data(cfg: RunConfig):
     """The panel, its season split and the split's ModelingData."""
-    panel, features = _load_modeling_inputs(cfg)
-    split = split_by_season(panel, cfg.train_seasons, cfg.test_seasons)
-    return panel, split, assemble_modeling_data(split, features)
+    panel, _, split, data = modeling_data_from_records(
+        *_records(cfg), cfg.train_seasons, cfg.test_seasons, **_feature_options(cfg))
+    return panel, split, data
 
 
 def _cells(cfg: RunConfig):

@@ -436,11 +436,3 @@ def split_by_season(panel: DailyPanel, train_seasons, test_seasons) -> SplitData
         test_idx=test_idx,
         n_dropped=n_dropped,
     )
-
-
-def injury_rate(labels, n_rows: int) -> float:
-    """Positive labels per row (the per-session injury rate)."""
-    if n_rows <= 0:
-        raise ValueError("n_rows must be positive")
-    labels = np.asarray(labels)
-    return float(np.count_nonzero(labels == 1) / n_rows)

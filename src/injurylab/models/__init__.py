@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (FAMILIES, ConvergenceError, TrainedModel, load_model,
-                   model_from_dict, model_to_dict, save_model, sigmoid)
+from .base import (FAMILIES, ConvergenceError, TrainedModel, model_from_dict,
+                   model_to_dict, sigmoid)
 from .forest import (RF_MAX_FEATURES, RF_MIN_LEAF, RF_TREES, fit_random_forest_raw,
                      resolve_max_features, tune_random_forest)
 from .gee import fit_gee_ar1
 from .linear import (ALPHA_GRID, LAMBDA_GRID, fit_elastic_net_raw, fit_logistic_irls,
-                     fit_univariate_logistic, log_loss, smooth_gradient,
-                     tune_elastic_net, tune_univariate)
+                     log_loss, smooth_gradient, tune_elastic_net, tune_univariate)
 from .svm import C_GRID, GAMMA_GRID, fit_svm_rbf_raw, rbf_kernel, tune_svm
 from .tuning import (CV_FOLDS, CandidateResult, CvResult, ModelSpec,
                      candidate_grid, coerce_grid, cross_validate, effective_folds,
@@ -24,9 +23,8 @@ from .tuning import (CV_FOLDS, CandidateResult, CvResult, ModelSpec,
 
 __all__ = [
     "FAMILIES", "ConvergenceError", "TrainedModel", "ModelSpec", "CvResult",
-    "CandidateResult", "fit_model", "save_model", "load_model",
-    "model_to_dict", "model_from_dict", "cross_validate", "candidate_grid",
-    "fit_univariate_logistic", "fit_gee_ar1", "fit_logistic_irls",
+    "CandidateResult", "fit_model", "model_to_dict", "model_from_dict",
+    "cross_validate", "candidate_grid", "fit_gee_ar1", "fit_logistic_irls",
     "fit_elastic_net_raw", "fit_random_forest_raw", "fit_svm_rbf_raw",
     "sigmoid", "log_loss",
     "smooth_gradient", "rbf_kernel", "resolve_max_features",

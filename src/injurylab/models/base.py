@@ -1,9 +1,11 @@
-"""Common fitted-model contract and flat-file serialization.
+"""Common fitted-model contract and its JSON form.
 
 Every family produces a TrainedModel whose ``score`` returns one finite real
-per row, higher meaning more injury-like.  Models serialize to a versioned
-JSON file holding the family tag, feature names, chosen hyperparameters and
-parameter arrays.
+per row, higher meaning more injury-like.  A model is written only inside a
+model bundle (``pipeline.save_bundle``), as a versioned dict holding the
+family tag, feature names, chosen hyperparameters and parameter arrays;
+``model_from_dict`` turns the arrays' JSON lists back into numpy arrays by
+one rule for every family.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ FAMILIES = (
 
 #: family -> score(params, X) -> np.ndarray, registered by the family modules
 SCORERS: dict = {}
-#: family -> decode(params_jsonable) -> params with numpy arrays restored
-DECODERS: dict = {}
 
 
 class ConvergenceError(RuntimeError):
@@ -37,9 +37,8 @@ class ConvergenceError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def register_family(family: str, scorer, decoder):
+def register_family(family: str, scorer):
     SCORERS[family] = scorer
-    DECODERS[family] = decoder
 
 
 @dataclass
@@ -92,25 +91,30 @@ def model_from_dict(data: dict) -> TrainedModel:
     if version != MODEL_FILE_VERSION:
         raise ValueError(f"unsupported model file version {version!r}")
     family = data["family"]
-    if family not in DECODERS:
+    if family not in SCORERS:
         raise ValueError(f"unknown model family {family!r}")
     return TrainedModel(
         family=family,
         feature_names=list(data["feature_names"]),
         hyperparams=data["hyperparams"],
-        params=DECODERS[family](data["params"]),
+        params=_decode_arrays(data["params"]),
         metadata=data.get("metadata", {}),
     )
 
 
-def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, cls=_ArrayEncoder)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+def _decode_arrays(value):
+    """`value` read back from JSON: a list of numbers, or of number lists,
+    becomes a numpy array, and a number stays as it is; in a dict, or a list
+    of objects (a forest's trees), each item is decoded the same way.
+    Anything else raises ValueError."""
+    if isinstance(value, dict):
+        return {key: _decode_arrays(item) for key, item in value.items()}
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return [_decode_arrays(item) for item in value]
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"not numeric: {value!r:.80}")
+    return array if isinstance(value, list) else value
 
 
 def sigmoid(z):

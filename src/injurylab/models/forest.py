@@ -172,17 +172,4 @@ def _score_forest(params, X):
     return _forest_votes(params["trees"], X)
 
 
-def _decode_forest(params):
-    trees = []
-    for tree in params["trees"]:
-        trees.append({
-            "feature": np.asarray(tree["feature"], dtype=int),
-            "threshold": np.asarray(tree["threshold"], dtype=float),
-            "left": np.asarray(tree["left"], dtype=int),
-            "right": np.asarray(tree["right"], dtype=int),
-            "value": np.asarray(tree["value"], dtype=float),
-        })
-    return {"trees": trees}
-
-
-register_family("random_forest", _score_forest, _decode_forest)
+register_family("random_forest", _score_forest)

@@ -131,10 +131,4 @@ def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
     )
 
 
-def _decode_gee(params):
-    return {"intercept": float(params["intercept"]),
-            "beta": np.asarray(params["beta"], dtype=float),
-            "working_alpha": float(params["working_alpha"])}
-
-
-register_family("gee_ar1", _score_linear, _decode_gee)
+register_family("gee_ar1", _score_linear)

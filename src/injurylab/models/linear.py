@@ -228,20 +228,6 @@ def fit_logistic_irls(X, y, tol: float = UNIVARIATE_TOL,
     return float(theta[0]), theta[1:]
 
 
-def fit_univariate_logistic(x, y, feature_name: str = "x0",
-                            column: int = 0) -> TrainedModel:
-    """Maximum-likelihood logistic fit on a single predictor plus intercept."""
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    b, beta = fit_logistic_irls(x, y)
-    return TrainedModel(
-        family="univariate_logistic",
-        feature_names=[feature_name],
-        hyperparams={"column": column},
-        params={"intercept": b, "slope": float(beta[0]), "column": column},
-        metadata={},
-    )
-
-
 def tune_univariate(X, y, grid, **cv) -> TrainedModel:
     """Univariate logistic fits over the grid's columns; CV picks the column,
     ties going to the lower index.  The model scores the full feature matrix."""
@@ -258,21 +244,10 @@ def _score_linear(params, X):
     return sigmoid(params["intercept"] + X @ np.asarray(params["beta"], dtype=float))
 
 
-def _decode_linear(params):
-    return {"intercept": float(params["intercept"]),
-            "beta": np.asarray(params["beta"], dtype=float)}
-
-
 def _score_univariate(params, X):
     j = int(params["column"])
     return sigmoid(params["intercept"] + params["slope"] * X[:, j])
 
 
-def _decode_univariate(params):
-    return {"intercept": float(params["intercept"]),
-            "slope": float(params["slope"]),
-            "column": int(params["column"])}
-
-
-register_family("logistic_elastic_net", _score_linear, _decode_linear)
-register_family("univariate_logistic", _score_univariate, _decode_univariate)
+register_family("logistic_elastic_net", _score_linear)
+register_family("univariate_logistic", _score_univariate)

@@ -104,16 +104,4 @@ def _score_svm(params, X):
     return rbf_kernel(X, sv, float(params["gamma"])) @ coef + float(params["intercept"])
 
 
-def _decode_svm(params):
-    sv = np.asarray(params["support_vectors"], dtype=float)
-    if sv.size == 0:
-        sv = sv.reshape(0, 0)
-    return {
-        "support_vectors": sv,
-        "dual_coef": np.asarray(params["dual_coef"], dtype=float),
-        "intercept": float(params["intercept"]),
-        "gamma": float(params["gamma"]),
-    }
-
-
-register_family("svm_rbf", _score_svm, _decode_svm)
+register_family("svm_rbf", _score_svm)

@@ -16,7 +16,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .load_metrics import (MONOTONY_CAP, FeatureMatrix, build_feature_matrix,
                            build_load_series)
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import _ArrayEncoder, model_from_dict, model_to_dict
+from .models.base import _ArrayEncoder, _decode_arrays, model_from_dict, model_to_dict
 from .preprocess import PcaProjection, PmmImputer, impute_session_values
 
 #: stage names -> fixed substream ids
@@ -164,7 +164,7 @@ class PreprocessBundle:
             "imputer": self.imputer.to_dict(),
             "means": self.means.tolist(),
             "scales": self.scales.tolist(),
-            "pca": self.pca.to_dict() if self.pca is not None else None,
+            "pca": asdict(self.pca) if self.pca is not None else None,
             "feature_names": list(self.feature_names),
         }
 
@@ -174,7 +174,7 @@ class PreprocessBundle:
             imputer=PmmImputer.from_dict(data["imputer"]),
             means=np.asarray(data["means"], dtype=float),
             scales=np.asarray(data["scales"], dtype=float),
-            pca=PcaProjection.from_dict(data["pca"]) if data["pca"] else None,
+            pca=PcaProjection(**_decode_arrays(data["pca"])) if data["pca"] else None,
             feature_names=list(data["feature_names"]),
         )
 
@@ -341,10 +341,6 @@ class SimulationSummary:
     master_seed: int
     #: OpenBLAS threads the runs were held at; None when no OpenBLAS was found
     blas_threads: int | None = None
-
-    @property
-    def all_complete(self) -> bool:
-        return all(cell.complete for cell in self.cells)
 
 
 @dataclass
@@ -576,10 +572,16 @@ def save_bundle(path, bundle: PreprocessBundle, model: TrainedModel,
 
 
 def load_bundle(path) -> tuple[PreprocessBundle, TrainedModel, dict]:
+    """A bundle written by `save_bundle`; a file that is not one raises a
+    ValueError that names it."""
     with open(path) as fh:
-        data = json.load(fh)
-    if data.get("bundle_version") != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {data.get('bundle_version')!r}")
-    return (PreprocessBundle.from_dict(data["preprocess"]),
-            model_from_dict(data["model"]),
-            data.get("extra", {}))
+        try:
+            data = json.load(fh)
+            if data.get("bundle_version") != BUNDLE_VERSION:
+                raise ValueError(f"unsupported bundle version {data.get('bundle_version')!r}")
+            return (PreprocessBundle.from_dict(data["preprocess"]),
+                    model_from_dict(data["model"]),
+                    data.get("extra", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model bundle "
+                             f"({type(exc).__name__}: {exc})") from None

@@ -229,10 +229,6 @@ def apply_standardize(X, means, scales):
     return (np.asarray(X, dtype=float) - means) / scales
 
 
-def invert_standardize(Z, means, scales):
-    return np.asarray(Z, dtype=float) * scales + means
-
-
 # ---------------------------------------------------------------------------
 # PCA with explained-variance cut-off
 
@@ -244,25 +240,6 @@ class PcaProjection:
     loadings: np.ndarray                 # (p, k), orthonormal columns
     n_components: int
     explained_variance_ratio: np.ndarray  # full spectrum, descending
-
-    def to_dict(self) -> dict:
-        return {
-            "means": self.means.tolist(),
-            "scales": self.scales.tolist(),
-            "loadings": self.loadings.tolist(),
-            "n_components": self.n_components,
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PcaProjection":
-        return cls(
-            means=np.asarray(data["means"], dtype=float),
-            scales=np.asarray(data["scales"], dtype=float),
-            loadings=np.asarray(data["loadings"], dtype=float),
-            n_components=int(data["n_components"]),
-            explained_variance_ratio=np.asarray(data["explained_variance_ratio"], dtype=float),
-        )
 
 
 def pca_fit(X, threshold: float = PCA_THRESHOLD) -> PcaProjection:

@@ -97,6 +97,9 @@ class RunConfig:
                                ("elastic_net_lambdas", ">= 0", lambda v: v >= 0),
                                ("elastic_net_alphas", "in [0, 1]", lambda v: 0 <= v <= 1),
                                ("rf_trees", ">= 1", lambda v: v >= 1),
+                               ("rf_max_features", "sqrt, third or an integer >= 1",
+                                lambda v: v in ("sqrt", "third")
+                                or (str(v).isdecimal() and int(v) >= 1)),
                                ("rf_min_leaf", ">= 1", lambda v: v >= 1)):
             values = getattr(self, name)
             if not values or not all(ok(value) for value in values):

@@ -280,11 +280,6 @@ def _knockout(config, rng, session: SessionRecord) -> SessionRecord:
     return replace(session, **fields) if fields else session
 
 
-def null_cohort(config: CohortConfig) -> GeneratedCohort:
-    """Same generator with all non-intercept hazard coefficients forced to 0."""
-    return generate_cohort(replace(config, beta1=0.0, beta2=0.0, beta3=0.0))
-
-
 # ---------------------------------------------------------------------------
 # CSV emission: exactly the schemas the ingest side consumes, written through
 # `domain.write_csv` in the conventions its parsers read

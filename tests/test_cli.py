@@ -153,6 +153,19 @@ class TestTrainPredict:
         assert main(["predict", "--config", config, "--model",
                      str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("bundle, key", [
+        ({"bundle_version": 1}, "preprocess"),
+        ({"bundle_version": 1, "preprocess": {}, "model": {}}, "imputer"),
+    ])
+    def test_malformed_model_is_error(self, workspace, tmp_path, capsys, bundle, key):
+        _, config = workspace
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["predict", "--config", config, "--model", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and key in err
+
 
 class TestEvaluateCommand:
     def test_operating_point_rows(self, workspace, tmp_path):
@@ -440,6 +453,8 @@ class TestConfigTable:
         ("models", "elastic_net_alphas = 1.5", "elastic_net_alphas"),
         ("models", "rf_trees = 0", "rf_trees"),
         ("models", "rf_min_leaf = 0", "rf_min_leaf"),
+        ("models", "rf_max_features = bogus", "rf_max_features"),
+        ("models", "rf_max_features = sqrt, 0", "rf_max_features"),
     ])
     def test_bad_setting_rejected(self, tmp_path, section, setting, option):
         path = tmp_path / "bad.ini"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from injurylab.domain import (DataError, ParseError, build_daily_panel,
-                              infer_season_starts, injury_rate, label_outcomes,
-                              parse_athletes, parse_injuries, parse_sessions,
-                              split_by_season)
+                              infer_season_starts, label_outcomes, parse_athletes,
+                              parse_injuries, parse_sessions, split_by_season)
 
 from conftest import make_athlete, make_injury, make_session, season_sessions
 
@@ -285,22 +284,6 @@ class TestSplitBySeason:
         panel = self._two_season_panel()
         with pytest.raises(DataError, match="strictly later"):
             split_by_season(panel, [2015], [2014])
-
-
-class TestInjuryRate:
-    def test_reported_rates(self):
-        labels = np.zeros(9203, dtype=int)
-        labels[:36] = 1
-        assert round(injury_rate(labels, 9203), 4) == 0.0039
-        labels[:321] = 1
-        assert round(injury_rate(labels, 9203), 4) == 0.0349
-
-    def test_zero_positives(self):
-        assert injury_rate(np.zeros(10, dtype=int), 10) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            injury_rate(np.array([]), 0)
 
 
 def test_infer_season_starts():

@@ -3,8 +3,7 @@ import pytest
 
 from injurylab.metrics import auc
 from injurylab.models import (ModelSpec, candidate_grid, fit_model,
-                              fit_random_forest_raw, load_model,
-                              resolve_max_features, save_model)
+                              fit_random_forest_raw, resolve_max_features)
 from injurylab.models.forest import _forest_votes, _tree_leaf_values
 
 
@@ -84,16 +83,6 @@ class TestRandomForest:
             X, y, np.random.default_rng(2))
         assert model.hyperparams["max_features"] in ("sqrt", "third")
         assert "cv_table" in model.metadata
-
-    def test_serialization_roundtrip(self, rng, tmp_path):
-        X = rng.normal(size=(60, 3))
-        y = (X[:, 0] > 0).astype(float)
-        model = fit_model(ModelSpec("random_forest", candidate_grid(
-            n_trees=8, max_features=2, min_leaf=1)), X, y, np.random.default_rng(3))
-        path = tmp_path / "rf.json"
-        save_model(model, path)
-        clone = load_model(path)
-        np.testing.assert_array_equal(clone.score(X), model.score(X))
 
     def test_vote_fraction_range(self, rng):
         X = rng.normal(size=(100, 3))

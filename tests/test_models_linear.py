@@ -4,9 +4,8 @@ import pytest
 from injurylab.metrics import auc
 from injurylab.models import linear
 from injurylab.models import (ConvergenceError, ModelSpec, candidate_grid,
-                              fit_elastic_net_raw, fit_logistic_irls, fit_model,
-                              fit_univariate_logistic, load_model, log_loss,
-                              save_model, sigmoid, smooth_gradient)
+                              fit_elastic_net_raw, fit_model, log_loss, sigmoid,
+                              smooth_gradient)
 
 
 def logistic_data(rng, n=300, p=5, intercept=-1.0, scale=1.0):
@@ -111,15 +110,6 @@ class TestElasticNetModel:
         assert model.hyperparams == {"lam": 0.01, "alpha": 1.0}
         assert "cv_table" not in model.metadata
 
-    def test_serialization_roundtrip(self, rng, tmp_path):
-        X, y = logistic_data(rng)
-        model = fit_model(ModelSpec("logistic_elastic_net",
-                                    candidate_grid(lam=(0.01,), alpha=(0.5,))), X, y, rng)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        clone = load_model(path)
-        np.testing.assert_allclose(clone.score(X), model.score(X), atol=1e-12)
-
     def test_warm_start_chain_within_each_fold(self, rng, monkeypatch):
         X, y = logistic_data(rng, n=120, p=3)
         original = linear.fit_elastic_net_raw
@@ -167,7 +157,7 @@ class TestUnivariateLogistic:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=200)
             y = (rng.random(200) < 0.3).astype(float)
-            model = fit_univariate_logistic(x, y)
+            model = fit_model(ModelSpec("univariate_logistic"), x[:, None], y, rng)
             slopes.append(model.params["slope"])
             aucs.append(auc(model.score(x.reshape(-1, 1)), y))
         assert abs(np.mean(slopes)) < 0.05
@@ -176,7 +166,7 @@ class TestUnivariateLogistic:
     def test_separable_monotone_and_perfect(self, rng):
         x = np.concatenate([rng.uniform(0.5, 2, 50), rng.uniform(-2, -0.5, 50)])
         y = (x > 0).astype(float)
-        model = fit_univariate_logistic(x, y)
+        model = fit_model(ModelSpec("univariate_logistic"), x[:, None], y, rng)
         order = np.argsort(x)
         probs = model.score(x.reshape(-1, 1))
         assert np.all(np.diff(probs[order]) >= 0)
@@ -184,15 +174,8 @@ class TestUnivariateLogistic:
 
     def test_constant_labels_rejected(self, rng):
         with pytest.raises(ValueError, match="single-class"):
-            fit_univariate_logistic(rng.normal(size=30), np.zeros(30))
-
-    def test_matches_multivariate_irls(self, rng):
-        x = rng.normal(size=150)
-        y = (rng.random(150) < sigmoid(0.8 * x - 0.4)).astype(float)
-        model = fit_univariate_logistic(x, y)
-        b, beta = fit_logistic_irls(x.reshape(-1, 1), y)
-        assert model.params["intercept"] == pytest.approx(b, abs=1e-7)
-        assert model.params["slope"] == pytest.approx(beta[0], abs=1e-7)
+            fit_model(ModelSpec("univariate_logistic"), rng.normal(size=(30, 1)),
+                      np.zeros(30), rng)
 
 
 class TestUnivariateFamily:

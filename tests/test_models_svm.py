@@ -3,7 +3,7 @@ import pytest
 
 from injurylab.metrics import auc
 from injurylab.models import (ConvergenceError, ModelSpec, candidate_grid, fit_model,
-                              fit_svm_rbf_raw, load_model, rbf_kernel, save_model, svm)
+                              fit_svm_rbf_raw, rbf_kernel, svm)
 from injurylab.pipeline import (PipelineSettings, Protocol, fit_preprocessing,
                                 modeling_data_from_records)
 from injurylab.preprocess import smote
@@ -68,16 +68,6 @@ class TestSvmRbf:
                                     folds=4), X, y, np.random.default_rng(1))
         assert model.hyperparams["C"] in (0.1, 1.0)
         assert "cv_table" in model.metadata
-
-    def test_serialization_roundtrip(self, rng, tmp_path):
-        X = rng.normal(size=(40, 2))
-        y = (X[:, 0] > 0).astype(float)
-        model = fit_model(ModelSpec("svm_rbf", candidate_grid(C=(1.0,), gamma=(0.5,))),
-                          X, y, np.random.default_rng(2))
-        path = tmp_path / "svm.json"
-        save_model(model, path)
-        clone = load_model(path)
-        np.testing.assert_allclose(clone.score(X), model.score(X), atol=1e-12)
 
 
 @pytest.fixture(scope="module")

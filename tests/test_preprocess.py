@@ -108,7 +108,7 @@ class TestStandardize:
     def test_roundtrip_identity(self, rng):
         X = rng.normal(size=(40, 6)) * 100
         Z, means, scales = pp.standardize(X)
-        back = pp.invert_standardize(pp.apply_standardize(X, means, scales), means, scales)
+        back = pp.apply_standardize(X, means, scales) * scales + means
         np.testing.assert_allclose(back, X, atol=1e-12 * np.abs(X).max())
 
     def test_missing_rejected(self):

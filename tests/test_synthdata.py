@@ -6,15 +6,19 @@ import pytest
 
 from injurylab.domain import build_daily_panel, parse_athletes, parse_injuries, parse_sessions
 from injurylab.load_metrics import build_feature_matrix, build_load_series
-from injurylab.synthdata import (CohortConfig, generate_cohort, null_cohort,
-                                 null_config, signal_config, write_cohort_csvs)
+from injurylab.synthdata import (CohortConfig, generate_cohort, null_config,
+                                 signal_config, write_cohort_csvs)
+
+SMALL = dict(n_athletes=8, seasons=(2014, 2015), season_weeks=10, missing_rate=0.0,
+             seed=11)
 
 
 def small_config(**kw):
-    defaults = dict(n_athletes=8, seasons=(2014, 2015), season_weeks=10,
-                    missing_rate=0.0, seed=11)
-    defaults.update(kw)
-    return CohortConfig(**defaults)
+    return CohortConfig(**{**SMALL, **kw})
+
+
+def small_null_cohort(**kw):
+    return generate_cohort(null_config(**{**SMALL, **kw}))
 
 
 def assert_round_trip(cohort, out_dir):
@@ -122,13 +126,13 @@ class TestNullCohort:
         assert cfg.beta1 == cfg.beta2 == cfg.beta3 == 0.0
 
     def test_null_hazard_is_flat(self):
-        cohort = null_cohort(small_config(seed=5))
+        cohort = small_null_cohort(seed=5)
         hazards = {round(t.hazard, 12) for t in cohort.truth}
         assert len(hazards) == 1
 
     def test_same_seed_identical(self):
-        a = null_cohort(small_config())
-        b = null_cohort(small_config())
+        a = small_null_cohort()
+        b = small_null_cohort()
         assert a.sessions == b.sessions and a.injuries == b.injuries
 
 
