@@ -3,6 +3,10 @@
 Bootstrap-sampled binary CART trees grown on Gini impurity with a uniform
 feature subsample per split; a tree's score for a row is its leaf positive
 fraction and the forest score is the fraction of trees voting injury.
+
+Splits are searched on per-fit rank keys, each column's dense ranks (see
+_grow_tree); they order and tie rows as the float values do, so every tree is
+bit-identical to one grown by sorting floats.  X must be finite.
 """
 
 from __future__ import annotations
@@ -31,40 +35,22 @@ def resolve_max_features(spec, p: int) -> int:
     return m
 
 
-def _best_split(X, y_sub, rows, features, min_leaf):
-    """Lowest weighted-Gini split over the sampled features, or None."""
-    n = rows.size
-    best_impurity = np.inf
-    best = None
-    for f in features:
-        v = X[rows, f]
-        order = np.argsort(v, kind="mergesort")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        ys = y_sub[order]
-        cum_pos = np.cumsum(ys)
-        n_left = np.arange(1, n)
-        valid = vs[1:] != vs[:-1]
-        valid &= (n_left >= min_leaf) & (n - n_left >= min_leaf)
-        if not valid.any():
-            continue
-        pos_left = cum_pos[:-1].astype(float)
-        pos_right = cum_pos[-1] - pos_left
-        n_right = n - n_left
-        # 2 * sum_child pos * neg / n_child, up to the constant factor
-        impurity = (pos_left * (n_left - pos_left) / n_left
-                    + pos_right * (n_right - pos_right) / n_right)
-        impurity[~valid] = np.inf
-        t = int(np.argmin(impurity))
-        if impurity[t] < best_impurity:
-            best_impurity = impurity[t]
-            best = (f, 0.5 * (vs[t] + vs[t + 1]), order[: t + 1], order[t + 1:])
-    return best
+def _rank_keys(X):
+    """(p, n) dense ranks of X's columns; equal values share a rank."""
+    dtype = np.uint16 if X.shape[0] <= 65536 else np.uint32
+    return np.array([np.unique(col, return_inverse=True)[1] for col in X.T], dtype=dtype)
 
 
-def _grow_tree(X, y, rows, max_features, min_leaf, rng):
-    """Depth-first CART growth; returns parallel node arrays."""
+def _grow_tree(X, ranks, y, rows, max_features, min_leaf, rng):
+    """Depth-first CART growth; returns parallel node arrays.
+
+    A node stable-argsorts the rank keys of its m sampled features over its
+    k rows as one (m, k) block (a radix sort for uint16 keys) and splits at
+    the row-major argmin of the weighted Gini: the first feature in ``tried``
+    order to reach the minimum, at its first position.  Equal values share a
+    rank and the sort is stable, so each sorted order, count, impurity,
+    threshold and child row set equals a per-feature float sort's, bit for bit.
+    """
     p = X.shape[1]
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -79,23 +65,35 @@ def _grow_tree(X, y, rows, max_features, min_leaf, rng):
     stack = [(new_node(), rows)]
     while stack:
         node, node_rows = stack.pop()
+        k = node_rows.size
         y_sub = y[node_rows]
         pos = float(y_sub.sum())
-        value[node] = pos / node_rows.size
-        if pos == 0.0 or pos == node_rows.size or node_rows.size < 2 * min_leaf:
+        value[node] = pos / k
+        if pos == 0.0 or pos == k or k < 2 * min_leaf:
             continue
         tried = rng.choice(p, size=min(max_features, p), replace=False)
-        split = _best_split(X, y_sub, node_rows, tried, min_leaf)
-        if split is None:
+        keys = ranks[tried[:, None], node_rows]
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        cum_pos = np.cumsum(y_sub[order], axis=1)
+        n_left = np.arange(1, k)
+        n_right = k - n_left
+        valid = (keys[:, 1:] != keys[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        pos_left = cum_pos[:, :-1]
+        pos_right = cum_pos[:, -1:] - pos_left
+        # 2 * sum_child pos * neg / n_child, up to the constant factor
+        impurity = (pos_left * (n_left - pos_left) / n_left
+                    + pos_right * (n_right - pos_right) / n_right)
+        impurity[~valid] = np.inf
+        i, t = divmod(int(np.argmin(impurity)), k - 1)
+        if impurity[i, t] == np.inf:
             continue
-        f, thr, left_local, right_local = split
-        feature[node] = int(f)
-        threshold[node] = float(thr)
-        left_child, right_child = new_node(), new_node()
-        left[node] = left_child
-        right[node] = right_child
-        stack.append((right_child, node_rows[right_local]))
-        stack.append((left_child, node_rows[left_local]))
+        feature[node] = f = int(tried[i])
+        sorted_rows = node_rows[order[i]]
+        threshold[node] = float(0.5 * (X[sorted_rows[t], f] + X[sorted_rows[t + 1], f]))
+        left[node], right[node] = new_node(), new_node()
+        stack.append((right[node], sorted_rows[t + 1:]))
+        stack.append((left[node], sorted_rows[: t + 1]))
     return {
         "feature": np.asarray(feature, dtype=int),
         "threshold": np.asarray(threshold, dtype=float),
@@ -134,17 +132,18 @@ def fit_random_forest_raw(X, y, n_trees: int, max_features, min_leaf: int,
                           rng: np.random.Generator, keep_inbag: bool = False):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValueError("random forest needs finite X")
     n = X.shape[0]
     m = resolve_max_features(max_features, X.shape[1])
-    tree_rngs = rng.spawn(n_trees)
+    ranks = _rank_keys(X)
     trees = []
     inbag = np.zeros((n_trees, n), dtype=bool) if keep_inbag else None
-    for t in range(n_trees):
-        child = tree_rngs[t]
+    for t, child in enumerate(rng.spawn(n_trees)):
         sample = child.integers(0, n, n)
         if keep_inbag:
             inbag[t, np.unique(sample)] = True
-        trees.append(_grow_tree(X, y, sample, m, min_leaf, child))
+        trees.append(_grow_tree(X, ranks, y, sample, m, min_leaf, child))
     return trees, inbag
 
 
