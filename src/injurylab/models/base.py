@@ -117,6 +117,11 @@ def _decode_arrays(value):
     return array if isinstance(value, list) else value
 
 
+def resolve_feature_names(feature_names, n_features: int) -> list[str]:
+    """The given names as a list, or x0 .. x{n_features-1} when None."""
+    return [f"x{j}" for j in range(n_features)] if feature_names is None else list(feature_names)
+
+
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 

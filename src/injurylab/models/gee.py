@@ -1,9 +1,12 @@
 """Generalized estimating equations with a logit link and an AR(1) working
 correlation over each athlete's time-ordered observations.
 
-The correlation parameter is a moment estimator over lag-1 products of
-Pearson residuals; beta updates are Fisher scoring steps.  Groups of size one
-contribute as independent observations.
+The correlation parameter is a lag-1 moment estimator over Pearson residuals;
+beta updates are Fisher scoring steps.  A group's rows must form one contiguous
+run; rows i and i+1 are linked when they share a group.  R(alpha)^-1 = L'L for
+the bidiagonal L that keeps a group's first row and maps each linked row to
+(b_i - alpha b_{i-1}) / sqrt(1 - alpha^2) (Prais & Winsten 1954), so one
+whitening pass over all rows applies the block-diagonal inverse.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (ConvergenceError, TrainedModel, check_binary_labels,
-                   register_family, sigmoid)
+                   register_family, resolve_feature_names, sigmoid)
 from .linear import _score_linear
 
 GEE_TOL = 1e-6
@@ -20,54 +23,39 @@ _MIN_VAR = 1e-10
 _ALPHA_BOUND = 0.95
 
 
-def _group_slices(groups):
-    """Contiguous (start, stop) runs per group, in row order.  A group whose
-    rows form more than one run raises ValueError, rather than being fitted
-    as several independent clusters."""
+def _links(groups):
+    """Bool vector, True where rows i and i+1 share a group.  A group whose
+    rows form more than one run raises ValueError naming the first group, in
+    row order, that comes back after another group."""
     groups = np.asarray(groups)
-    slices = []
-    seen = set()
-    start = 0
-    for i in range(1, groups.size + 1):
-        if i == groups.size or groups[i] != groups[start]:
-            if groups[start] in seen:
-                raise ValueError(f"GEE group '{groups[start]}' is not contiguous; "
-                                 "rows must be sorted by group")
-            seen.add(groups[start])
-            slices.append((start, i))
-            start = i
-    return slices
+    links = groups[1:] == groups[:-1]
+    labels = groups[np.r_[True, ~links]]
+    repeats = np.setdiff1d(np.arange(labels.size), np.unique(labels, return_index=True)[1])
+    if repeats.size:
+        raise ValueError(f"GEE group '{labels[repeats[0]]}' is not contiguous; "
+                         "rows must be sorted by group")
+    return links
 
 
-def _ar1_inverse_apply(block, alpha):
-    """R(alpha)^-1 @ block for the AR(1) correlation matrix, tridiagonal form."""
-    n = block.shape[0]
-    if n == 1 or alpha == 0.0:
-        return block.copy()
-    denom = 1.0 - alpha * alpha
-    out = np.empty_like(block)
-    out[0] = (block[0] - alpha * block[1]) / denom
-    out[-1] = (block[-1] - alpha * block[-2]) / denom
-    if n > 2:
-        out[1:-1] = ((1.0 + alpha * alpha) * block[1:-1]
-                     - alpha * (block[:-2] + block[2:])) / denom
+def _whiten(B, alpha, links):
+    """L @ B for the block-diagonal AR(1) factor L (R^-1 = L'L), written into one
+    new array: a second full-size temporary costs more than the arithmetic."""
+    if alpha == 0.0:
+        return B
+    lag = (alpha * links).reshape((-1,) + (1,) * (B.ndim - 1))
+    out = np.empty_like(B)
+    out[0] = B[0]
+    np.subtract(B[1:], np.multiply(B[:-1], lag, out=out[1:]), out=out[1:])
+    out[1:] /= np.sqrt(1.0 - alpha * lag)
     return out
 
 
-def _moment_alpha(residuals, slices, n_params):
+def _moment_alpha(residuals, links, n_params):
     """Lag-1 moment estimator of the AR(1) parameter from Pearson residuals."""
-    n = residuals.size
-    lag_sum = 0.0
-    n_pairs = 0
-    for start, stop in slices:
-        r = residuals[start:stop]
-        if r.size > 1:
-            lag_sum += float(r[:-1] @ r[1:])
-            n_pairs += r.size - 1
-    if n_pairs - n_params <= 0:
-        return 0.0
-    phi = float(residuals @ residuals) / max(n - n_params, 1)
-    if phi <= 0.0:
+    lag_sum = float((residuals[:-1] * residuals[1:]) @ links)
+    n_pairs = int(links.sum())
+    phi = float(residuals @ residuals) / max(residuals.size - n_params, 1)
+    if n_pairs <= n_params or phi <= 0.0:
         return 0.0
     alpha = lag_sum / ((n_pairs - n_params) * phi)
     return float(np.clip(alpha, -_ALPHA_BOUND, _ALPHA_BOUND))
@@ -75,60 +63,49 @@ def _moment_alpha(residuals, slices, n_params):
 
 def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
                 max_iter: int = GEE_MAX_ITER, feature_names=None) -> TrainedModel:
-    """Fit the GEE; rows must be grouped by athlete (ValueError otherwise)
-    and time-ordered within each group.  ``alpha=None`` re-estimates the
-    working correlation each iteration; a fixed value (e.g. 0.0) pins it.
+    """Fit the GEE on one group label per row; rows must be grouped by athlete
+    (ValueError otherwise) and time-ordered within each group.  ``alpha=None``
+    re-estimates the working correlation each iteration; a fixed value pins it.
     """
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)
     n, p = X.shape
-    slices = _group_slices(groups)
+    if len(groups) != n:
+        raise ValueError(f"groups has {len(groups)} labels for {n} rows of X")
+    links = _links(groups)
     A = np.column_stack([np.ones(n), X])
-    n_params = p + 1
 
     base = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
-    theta = np.zeros(n_params)
+    theta = np.zeros(p + 1)
     theta[0] = np.log(base / (1.0 - base))
     alpha_hat = 0.0 if alpha is None else float(alpha)
 
     for iteration in range(1, max_iter + 1):
         mu = sigmoid(A @ theta)
-        var = np.maximum(mu * (1.0 - mu), _MIN_VAR)
-        sqrt_var = np.sqrt(var)
+        sqrt_var = np.sqrt(np.maximum(mu * (1.0 - mu), _MIN_VAR))
         pearson = (y - mu) / sqrt_var
         if alpha is None:
-            alpha_hat = _moment_alpha(pearson, slices, n_params)
+            alpha_hat = _moment_alpha(pearson, links, p + 1)
 
-        lhs = np.zeros((n_params, n_params))
-        rhs = np.zeros(n_params)
-        for start, stop in slices:
-            M = A[start:stop] * sqrt_var[start:stop, None]
-            e = pearson[start:stop]
-            rinv_m = _ar1_inverse_apply(M, alpha_hat)
-            lhs += M.T @ rinv_m
-            rhs += rinv_m.T @ e
+        W = _whiten(A * sqrt_var[:, None], alpha_hat, links)
         try:
-            step = np.linalg.solve(lhs, rhs)
+            step = np.linalg.solve(W.T @ W, W.T @ _whiten(pearson, alpha_hat, links))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular GEE information matrix: {exc}") from exc
         theta = theta + step
-        if float(np.max(np.abs(step))) < tol:
-            names = list(feature_names) if feature_names is not None else [
-                f"x{j}" for j in range(p)
-            ]
+        last_step = float(np.max(np.abs(step)))
+        if last_step < tol:
             return TrainedModel(
                 family="gee_ar1",
-                feature_names=names,
+                feature_names=resolve_feature_names(feature_names, p),
                 hyperparams={"alpha_fixed": alpha},
                 params={"intercept": float(theta[0]), "beta": theta[1:],
                         "working_alpha": alpha_hat},
                 metadata={"iterations": iteration},
             )
-    raise ConvergenceError(
-        f"GEE did not converge in {max_iter} iterations "
-        f"(last max step={float(np.max(np.abs(step))):.3e})",
-        iterations=max_iter,
-    )
+    raise ConvergenceError(f"GEE did not converge in {max_iter} iterations "
+                           f"(last max step={last_step:.3e})",
+                           iterations=max_iter, last_step=last_step)
 
 
 register_family("gee_ar1", _score_linear)

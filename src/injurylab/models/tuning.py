@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..metrics import auc
-from .base import SCORERS, ConvergenceError, TrainedModel, check_binary_labels
+from .base import (SCORERS, ConvergenceError, TrainedModel, check_binary_labels,
+                   resolve_feature_names)
 
 CV_FOLDS = 10
 
@@ -249,8 +250,6 @@ def tune(family: str, candidates, fit, X, y, *, rng: np.random.Generator,
     if isinstance(outcome, FIT_ERRORS):
         raise outcome
     model_params, metadata = outcome
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X.shape[1])
-    ]
+    names = resolve_feature_names(feature_names, X.shape[1])
     return TrainedModel(family=family, feature_names=names, hyperparams=dict(selected),
                         params=model_params, metadata={**cv_meta, **metadata})

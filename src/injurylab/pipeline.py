@@ -27,7 +27,8 @@ from .load_metrics import (MONOTONY_CAP, FeatureMatrix, build_feature_matrix,
                            build_load_series)
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
-from .models.base import _ArrayEncoder, _decode_arrays, model_from_dict, model_to_dict
+from .models.base import (_ArrayEncoder, _decode_arrays, model_from_dict, model_to_dict,
+                          resolve_feature_names)
 from .preprocess import PcaProjection, PmmImputer, impute_session_values
 
 #: stage names -> fixed substream ids
@@ -208,9 +209,7 @@ def fit_preprocessing(X_train, settings: PipelineSettings, protocol: Protocol,
     if protocol.pca:
         pca = preprocess.pca_fit(standardized, threshold=settings.pca_threshold)
         out = preprocess.pca_transform(standardized, pca)
-    names = list(feature_names) if feature_names is not None else [
-        f"x{j}" for j in range(X_train.shape[1])
-    ]
+    names = resolve_feature_names(feature_names, X_train.shape[1])
     return PreprocessBundle(imputer, means, scales, pca, names), out
 
 

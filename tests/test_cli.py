@@ -262,8 +262,15 @@ def assert_gee_cells_failed(out, status_name):
 
 class TestPartialFailures:
     """A command whose runs partly fail writes the runs that succeeded, lists
-    the failed ones in a status CSV and exits 3.  Raw-feature GEE does not
-    converge on this cohort."""
+    the failed ones in a status CSV and exits 3.  Every GEE fit is stubbed to
+    fail, so the failure does not hang on how the solver fares on the cohort."""
+
+    @pytest.fixture(autouse=True)
+    def failing_gee(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise models.ConvergenceError("stubbed GEE failure")
+
+        monkeypatch.setattr(models, "fit_gee_ar1", fail)
 
     def test_train(self, workspace, tmp_path):
         config = config_variant(workspace, "gee.ini", WITH_GEE)
