@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -235,6 +236,11 @@ def cmd_predict(cfg: RunConfig, manifest: Manifest, model_path: str) -> int:
         raise ConfigError(f"model file not found: {model_path}")
     bundle, model, extra = load_bundle(model_path)
     panel, features = _load_modeling_inputs(cfg)
+    for j, (stored, computed) in enumerate(zip_longest(bundle.feature_names,
+                                                       features.columns)):
+        if stored != computed:
+            raise ValueError(f"{model_path}: bundle feature {j} is {stored!r}, "
+                             f"but the computed feature {j} is {computed!r}")
     rng = stream_rng(cfg.seed, 0, "impute")
     transformed = bundle.transform(features.values, rng)
     scores = model.score(transformed)
@@ -386,12 +392,11 @@ def cmd_describe(cfg: RunConfig, manifest: Manifest) -> int:
                 "n_train_observed", "n_test_observed"], rows)
 
     rate_rows = []
-    for key in panel.labels:
-        for side, sub in (("train", split.train), ("test", split.test)):
-            labels = sub.labels[key]
-            count = int(labels.sum())
-            rate_rows.append([key, side, count, len(sub),
-                              _fmt(count / len(sub)) if len(sub) else ""])
+    for key, column in panel.labels.items():
+        for side, idx in (("train", split.train_idx), ("test", split.test_idx)):
+            count = int(column[idx].sum())
+            rate_rows.append([key, side, count, idx.size,
+                              _fmt(count / idx.size) if idx.size else ""])
     _write_csv(manifest, "injury_rates.csv",
                ["outcome", "split", "count", "n_rows", "rate"], rate_rows)
     return 0
@@ -424,11 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         cmd.add_argument("--config", required=True, help="path to the INI run config")
         cmd.add_argument("--seed", type=int, help="override [run] seed")
-        cmd.add_argument("--sims", type=int, help="override [simulate] n_sims")
         cmd.add_argument("--out", help="override [run] out directory")
-        cmd.add_argument("--threads", type=int,
-                         help="override [run] threads; simulate's pool threads "
-                              "each run with one BLAS thread")
+        if name == "simulate":
+            cmd.add_argument("--sims", type=int, help="override [simulate] n_sims")
+            cmd.add_argument("--threads", type=int,
+                             help="override [run] threads, the pool threads that "
+                                  "run the simulations, each with one BLAS thread")
         if name == "predict":
             cmd.add_argument("--model", required=True, help="serialized model bundle")
     return parser
@@ -452,8 +458,9 @@ def main(argv=None) -> int:
         sys.stdout.write(example_config())
         return 0
     try:
-        flags = {"seed": args.seed, "n_sims": args.sims, "out": args.out,
-                 "threads": args.threads}
+        flags = {"seed": args.seed, "out": args.out,
+                 "n_sims": getattr(args, "sims", None),
+                 "threads": getattr(args, "threads", None)}
         cfg = dataclasses.replace(load_config(args.config), **{
             name: value for name, value in flags.items() if value is not None})
         cfg.validate()

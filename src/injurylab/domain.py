@@ -111,30 +111,14 @@ class DailyPanel:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def subset(self, idx) -> "DailyPanel":
-        idx = np.asarray(idx)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        return DailyPanel(
-            athlete_ids=[self.athlete_ids[i] for i in idx],
-            dates=[self.dates[i] for i in idx],
-            seasons=self.seasons[idx],
-            season_day=self.season_day[idx],
-            is_match=self.is_match[idx],
-            age_years=self.age_years[idx],
-            new_player=self.new_player[idx],
-            labels={k: v[idx] for k, v in self.labels.items()},
-            season_starts=dict(self.season_starts),
-        )
-
 
 @dataclass
 class SplitDataset:
-    train: DailyPanel
-    test: DailyPanel
+    """A season split of a DailyPanel as two sorted arrays of panel row
+    indices; the panel stays the one record of the rows themselves."""
+
     train_idx: np.ndarray
     test_idx: np.ndarray
-    n_dropped: int
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +399,8 @@ def label_outcomes(panel: DailyPanel, injuries, outcome: str,
 
 
 def split_by_season(panel: DailyPanel, train_seasons, test_seasons) -> SplitDataset:
-    """Partition panel rows by season; rows in neither set are dropped."""
+    """Split panel rows by season into train and test row indices; rows
+    whose season is in neither set are in neither array."""
     train_seasons = set(train_seasons)
     test_seasons = set(test_seasons)
     if not train_seasons or not test_seasons:
@@ -424,15 +409,7 @@ def split_by_season(panel: DailyPanel, train_seasons, test_seasons) -> SplitData
         raise DataError(f"season sets overlap: {sorted(train_seasons & test_seasons)}")
     if max(train_seasons) >= min(test_seasons):
         raise DataError("test seasons must be strictly later than train seasons")
-    train_mask = np.isin(panel.seasons, sorted(train_seasons))
-    test_mask = np.isin(panel.seasons, sorted(test_seasons))
-    train_idx = np.flatnonzero(train_mask)
-    test_idx = np.flatnonzero(test_mask)
-    n_dropped = len(panel) - train_idx.size - test_idx.size
     return SplitDataset(
-        train=panel.subset(train_idx),
-        test=panel.subset(test_idx),
-        train_idx=train_idx,
-        test_idx=test_idx,
-        n_dropped=n_dropped,
+        train_idx=np.flatnonzero(np.isin(panel.seasons, sorted(train_seasons))),
+        test_idx=np.flatnonzero(np.isin(panel.seasons, sorted(test_seasons))),
     )

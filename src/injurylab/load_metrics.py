@@ -7,9 +7,11 @@ monotony/strain.  Every feature on day i is computed from loads strictly
 before day i, so perturbing a day's load never changes that day's features.
 
 Series are dense per (athlete, season) calendar-day arrays; non-session days
-contribute zero load.  Accumulators reset at season boundaries.  The feature
-matrix is built from one table per athlete-season, in which each EWMA span is
-computed once and shared by its EWMA and EW-ACWR columns.
+contribute zero load.  Accumulators reset at season boundaries.  The panel's
+season starts are the one calendar: `build_feature_matrix` lays the session
+loads on them itself and is the package's one caller of `build_load_series`.
+The matrix is built from one table per athlete-season, in which each EWMA
+span is computed once and shared by its EWMA and EW-ACWR columns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import DailyPanel, infer_season_starts
+from .domain import DailyPanel
 
 VARIABLES = ("distance", "msr", "hsr", "srpe", "player_load")
 #: monotony/strain are undefined for high speed running (weekly loads often zero)
@@ -201,35 +203,20 @@ def ew_acwr_series(w, span_acute: int, span_chronic: int = CHRONIC_WINDOW) -> np
 # Load series construction
 
 
-@dataclass
-class LoadSeriesSet:
-    """Dense per-(athlete, season) daily load arrays for every variable.
-
-    Day 0 of each array is the season start; non-session days hold 0.
-    """
-
-    arrays: dict[tuple[str, int], dict[str, np.ndarray]]
-    season_starts: dict[int, dt.date]
-    season_lengths: dict[int, int]
-
-    def series(self, athlete_id: str, season: int, variable: str) -> np.ndarray:
-        return self.arrays[(athlete_id, season)][variable]
-
-
 #: the SessionRecord attribute that holds each variable's session load
 _SESSION_ATTRIBUTES = {"distance": "distance_m", "msr": "msr_m", "hsr": "hsr_m",
                        "srpe": "srpe", "player_load": "player_load"}
 
 
-def build_load_series(sessions, season_starts: dict[int, dt.date] | None = None) -> LoadSeriesSet:
-    """Accumulate daily load arrays from session records.
+def build_load_series(sessions, season_starts: dict[int, dt.date]) -> dict:
+    """Daily load arrays, ``{(athlete_id, season): {variable: array}}``.
 
+    Day 0 of each array is the season start in ``season_starts``; an array
+    runs to the season's last session day, and non-session days hold 0.
     Requires complete load values (impute missing session fields first, see
     preprocess.impute_session_values); a missing value propagates NaN into
     every window that touches its day.
     """
-    if season_starts is None:
-        season_starts = infer_season_starts(sessions)
     season_ends: dict[int, dt.date] = {}
     for s in sessions:
         if s.season not in season_ends or s.date > season_ends[s.season]:
@@ -250,7 +237,7 @@ def build_load_series(sessions, season_starts: dict[int, dt.date] | None = None)
         for variable, attribute in _SESSION_ATTRIBUTES.items():
             value = getattr(s, attribute)
             arrays[key][variable][offset] += np.nan if value is None else value
-    return LoadSeriesSet(arrays, dict(season_starts), season_lengths)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +304,19 @@ def _load_table(loads: dict[str, np.ndarray], cap: float) -> np.ndarray:
     return np.column_stack([series[name] for name in feature_columns()[:-len(_PANEL_COLUMNS)]])
 
 
-def build_feature_matrix(panel: DailyPanel, series_set: LoadSeriesSet,
+def build_feature_matrix(panel: DailyPanel, sessions,
                          monotony_cap: float = MONOTONY_CAP) -> FeatureMatrix:
     """Compute the full feature matrix for every panel row.
 
-    Panel rows are grouped by athlete-season.  Each athlete-season's table is
-    built once, with each EWMA span computed once, and the group's rows are
-    read from it at their season days; the table is dropped before the next
-    group's is built.
+    ``sessions`` are the complete session records the panel was built from;
+    their load series are laid on the panel's own calendar,
+    ``build_load_series(sessions, panel.season_starts)``.  Panel rows are
+    grouped by athlete-season.  Each athlete-season's table is built once,
+    with each EWMA span computed once, and the group's rows are read from it
+    at their season days; the table is dropped before the next group's is
+    built.
     """
-    if panel.season_starts != series_set.season_starts:
-        raise ValueError("panel and load series use different season starts")
+    series = build_load_series(sessions, panel.season_starts)
     columns = feature_columns()
     n_load = len(columns) - len(_PANEL_COLUMNS)
     values = np.empty((len(panel), len(columns)))
@@ -335,15 +324,7 @@ def build_feature_matrix(panel: DailyPanel, series_set: LoadSeriesSet,
     for i, key in enumerate(zip(panel.athlete_ids, panel.seasons.tolist())):
         rows_of.setdefault(key, []).append(i)
     for key, rows in rows_of.items():
-        if key not in series_set.arrays:
-            raise ValueError(f"no load series for athlete-season {key}")
-        days = panel.season_day[rows]
-        table = _load_table(series_set.arrays[key], monotony_cap)
-        outside = days >= table.shape[0]
-        if outside.any():
-            raise ValueError(
-                f"panel day {int(days[outside][0])} outside load series span for {key}"
-            )
-        values[rows, :n_load] = table[days]
+        table = _load_table(series[key], monotony_cap)
+        values[rows, :n_load] = table[panel.season_day[rows]]
     values[:, n_load:] = np.column_stack([panel.age_years, panel.is_match.astype(float)])
     return FeatureMatrix(columns, values)

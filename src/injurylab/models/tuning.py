@@ -69,7 +69,6 @@ class CandidateResult:
 class CvResult:
     results: list[CandidateResult]
     selected: dict
-    fold_id: np.ndarray
     folds: int
     selected_mean_auc: float = float("nan")
 
@@ -176,8 +175,8 @@ def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,
     if prefer is None:
         prefer = lambda params: 0
     best = max(results, key=lambda r: (r.mean_auc, prefer(r.params)))
-    return CvResult(results=results, selected=dict(best.params), fold_id=fold_id,
-                    folds=folds, selected_mean_auc=best.mean_auc)
+    return CvResult(results=results, selected=dict(best.params), folds=folds,
+                    selected_mean_auc=best.mean_auc)
 
 
 def candidate_grid(**axes) -> list[dict]:

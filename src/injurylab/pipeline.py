@@ -21,10 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import preprocess
-from .domain import (DEFAULT_LAG_DAYS, SplitDataset, build_daily_panel,
+from .domain import (DEFAULT_LAG_DAYS, DailyPanel, SplitDataset, build_daily_panel,
                      split_by_season)
-from .load_metrics import (MONOTONY_CAP, FeatureMatrix, build_feature_matrix,
-                           build_load_series)
+from .load_metrics import MONOTONY_CAP, FeatureMatrix, build_feature_matrix
 from .metrics import auc
 from .models import ModelSpec, TrainedModel, fit_model
 from .models.base import (_ArrayEncoder, _decode_arrays, model_from_dict, model_to_dict,
@@ -98,16 +97,19 @@ class ModelingData:
         return self.X_train.shape[0]
 
 
-def assemble_modeling_data(split: SplitDataset, features: FeatureMatrix) -> ModelingData:
-    """Slice a panel-aligned feature matrix into the split's train/test sides."""
+def assemble_modeling_data(panel: DailyPanel, split: SplitDataset,
+                           features: FeatureMatrix) -> ModelingData:
+    """Read the split's train and test rows out of the panel and its
+    row-aligned feature matrix."""
+    train, test = split.train_idx, split.test_idx
     return ModelingData(
         feature_names=list(features.columns),
-        X_train=features.values[split.train_idx],
-        X_test=features.values[split.test_idx],
-        y_train={k: v.copy() for k, v in split.train.labels.items()},
-        y_test={k: v.copy() for k, v in split.test.labels.items()},
-        groups_train=np.asarray(split.train.athlete_ids, dtype=object),
-        new_player_test=split.test.new_player.copy(),
+        X_train=features.values[train],
+        X_test=features.values[test],
+        y_train={k: v[train] for k, v in panel.labels.items()},
+        y_test={k: v[test] for k, v in panel.labels.items()},
+        groups_train=np.asarray(panel.athlete_ids, dtype=object)[train],
+        new_player_test=panel.new_player[test],
     )
 
 
@@ -115,17 +117,17 @@ def features_from_records(sessions, injuries, athletes, seed: int = 0,
                           lag_days: int = DEFAULT_LAG_DAYS,
                           monotony_cap: float = MONOTONY_CAP,
                           pmm_donors: int = preprocess.PMM_DONORS):
-    """Records -> imputed sessions -> panel -> load series -> features.
+    """Records -> imputed sessions -> panel -> features.
 
     Returns (panel, features).  Raw missing session fields are filled once by
     predictive mean matching from the seed's "ingest" stream, so every load
-    series is complete.
+    series that `build_feature_matrix` lays on the panel's calendar is
+    complete.
     """
     sessions = impute_session_values(sessions, stream_rng(seed, 0, "ingest"),
                                      donors=pmm_donors)
     panel = build_daily_panel(sessions, injuries, athletes, lag_days=lag_days)
-    series = build_load_series(sessions, season_starts=panel.season_starts)
-    return panel, build_feature_matrix(panel, series, monotony_cap=monotony_cap)
+    return panel, build_feature_matrix(panel, sessions, monotony_cap=monotony_cap)
 
 
 def modeling_data_from_records(sessions, injuries, athletes, train_seasons,
@@ -134,7 +136,7 @@ def modeling_data_from_records(sessions, injuries, athletes, train_seasons,
     split; returns (panel, features, split, ModelingData)."""
     panel, features = features_from_records(sessions, injuries, athletes, **options)
     split = split_by_season(panel, train_seasons, test_seasons)
-    return panel, features, split, assemble_modeling_data(split, features)
+    return panel, features, split, assemble_modeling_data(panel, split, features)
 
 
 @dataclass

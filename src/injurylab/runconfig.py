@@ -2,9 +2,11 @@
 
 Every ``RunConfig`` field but ``synth_overrides`` is one option of one INI
 section, listed in ``_SECTIONS``; list values are comma-separated.  The
-command-line flags ``--seed``, ``--sims``, ``--out`` and ``--threads``
-override ``[run] seed``, ``[simulate] n_sims``, ``[run] out`` and
-``[run] threads``.  See ``example_config`` for a complete template.
+command-line flags ``--seed`` and ``--out`` override ``[run] seed`` and
+``[run] out`` on every command; ``simulate``, the one command that reads
+``[simulate] n_sims`` and ``[run] threads``, also takes ``--sims`` and
+``--threads`` to override them.  See ``example_config`` for a complete
+template.
 """
 
 from __future__ import annotations

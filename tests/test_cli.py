@@ -166,6 +166,21 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and key in err
 
+    def test_reordered_feature_names_rejected(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        out = tmp_path / "train"
+        assert main(["train", "--config", config, "--out", str(out)]) == 0
+        bundle = json.loads((out / "model__logistic_elastic_net__nc__none.json").read_text())
+        names = bundle["preprocess"]["feature_names"]
+        names[1], names[2] = names[2], names[1]
+        path = tmp_path / "reordered.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["predict", "--config", config, "--model", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bundle feature 1 is {names[1]!r}")
+        assert not (tmp_path / "o" / "scores.csv").exists()
+
 
 class TestEvaluateCommand:
     def test_operating_point_rows(self, workspace, tmp_path):
@@ -217,6 +232,17 @@ class TestSimulateCommand:
         expected = "unpinned" if pipeline._openblas_threads() is None else "1"
         lines = (out / "manifest.txt").read_text().splitlines()
         assert f"blas_threads={expected}" in lines
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--threads"), ("evaluate", "--threads"), ("learning-curve", "--threads"),
+    ("features", "--sims"), ("describe", "--sims"),
+])
+def test_run_flags_only_on_simulate(workspace, command, flag):
+    _, config = workspace
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, flag, "2"])
+    assert exc.value.code == 2
 
 
 class TestLearningCurveCommand:

@@ -261,14 +261,17 @@ class TestSplitBySeason:
     def test_partition(self):
         panel = self._two_season_panel()
         split = split_by_season(panel, [2014], [2015, 2016])
-        assert len(split.train) + len(split.test) + split.n_dropped == len(panel)
-        assert set(split.train_idx) | set(split.test_idx) <= set(range(len(panel)))
-        assert not set(split.train_idx) & set(split.test_idx)
+        np.testing.assert_array_equal(np.concatenate([split.train_idx, split.test_idx]),
+                                      np.arange(len(panel)))
+        assert set(panel.seasons[split.train_idx]) == {2014}
+        assert set(panel.seasons[split.test_idx]) == {2015, 2016}
 
     def test_row_outside_either_set_dropped(self):
         panel = self._two_season_panel()
         split = split_by_season(panel, [2014], [2016])
-        assert split.n_dropped == np.sum(panel.seasons == 2015)
+        dropped = np.setdiff1d(np.arange(len(panel)),
+                               np.concatenate([split.train_idx, split.test_idx]))
+        np.testing.assert_array_equal(dropped, np.flatnonzero(panel.seasons == 2015))
 
     def test_empty_test_set_rejected(self):
         panel = self._two_season_panel()

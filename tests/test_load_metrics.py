@@ -232,8 +232,7 @@ class TestFeatureMatrix:
         start = dt.date(2014, 3, 1)
         sessions = season_sessions("A01", start, offsets, session_type=session_type)
         panel = build_daily_panel(sessions, [], [make_athlete("A01")])
-        series = lm.build_load_series(sessions, season_starts=panel.season_starts)
-        return panel, lm.build_feature_matrix(panel, series)
+        return panel, lm.build_feature_matrix(panel, sessions)
 
     def test_day_fifteen_ra21_flagged_missing(self):
         panel, features = self._build([0, 14, 30])
@@ -252,25 +251,16 @@ class TestFeatureMatrix:
 
     def test_row_alignment_and_shape(self, small_panel):
         panel, sessions, _, _ = small_panel
-        series = lm.build_load_series(sessions, season_starts=panel.season_starts)
-        features = lm.build_feature_matrix(panel, series)
+        features = lm.build_feature_matrix(panel, sessions)
         assert features.values.shape == (len(panel), 60)
         np.testing.assert_array_equal(features.column("age_years"), panel.age_years)
-
-    def test_season_start_mismatch_rejected(self, small_panel):
-        panel, sessions, _, _ = small_panel
-        series = lm.build_load_series(sessions)
-        series.season_starts[2014] = dt.date(2014, 1, 1)
-        with pytest.raises(ValueError, match="season starts"):
-            lm.build_feature_matrix(panel, series)
 
     def test_missing_raw_value_propagates_nan(self):
         start = dt.date(2014, 3, 1)
         sessions = season_sessions("A01", start, list(range(0, 30)))
         sessions[10] = sessions[10].__class__(**{**sessions[10].__dict__, "rpe": None})
         panel = build_daily_panel(sessions, [], [make_athlete("A01")])
-        series = lm.build_load_series(sessions, season_starts=panel.season_starts)
-        features = lm.build_feature_matrix(panel, series)
+        features = lm.build_feature_matrix(panel, sessions)
         row = list(panel.season_day).index(14)
         # day 10 is inside the 7-day window before day 14
         assert np.isnan(features.column("srpe_monotony7")[row])
@@ -314,43 +304,25 @@ class TestFeatureMatrixLayout:
         ]
         sessions[30] = dataclasses.replace(sessions[30], msr_m=None)
         athletes = [make_athlete("A01"), make_athlete("A02", dt.date(1988, 2, 1))]
-        panel = build_daily_panel(sessions, [], athletes)
-        return panel, lm.build_load_series(sessions, season_starts=panel.season_starts)
+        return build_daily_panel(sessions, [], athletes), sessions
 
     def test_every_load_column_is_its_series_function(self, cohort):
-        panel, series = cohort
-        features = lm.build_feature_matrix(panel, series)
+        panel, sessions = cohort
+        features = lm.build_feature_matrix(panel, sessions)
+        series = lm.build_load_series(sessions, panel.season_starts)
         load_columns = [c for c in features.columns if c not in ("age_years", "is_match")]
         assert len(load_columns) == 58
         assert len(set(zip(panel.athlete_ids, panel.seasons))) == 4
-        assert sum(np.isnan(loads["msr"]).sum() for loads in series.arrays.values()) == 1
+        assert sum(np.isnan(loads["msr"]).sum() for loads in series.values()) == 1
         for name in load_columns:
             variable, suffix = next((v, name[len(v) + 1:]) for v in lm.VARIABLES
                                     if name.startswith(v + "_"))
             expected = np.array([
-                SERIES_ORACLE[suffix](series.series(athlete_id, int(season), variable))[day]
+                SERIES_ORACLE[suffix](series[(athlete_id, int(season))][variable])[day]
                 for athlete_id, season, day in zip(panel.athlete_ids, panel.seasons,
                                                    panel.season_day)
             ])
             np.testing.assert_array_equal(features.column(name), expected, err_msg=name)
-
-    def test_missing_load_series_rejected(self, small_panel):
-        panel, sessions, _, _ = small_panel
-        series = lm.build_load_series([s for s in sessions if s.athlete_id == "A01"],
-                                      season_starts=panel.season_starts)
-        with pytest.raises(ValueError, match=r"no load series for athlete-season \('A02', 2014\)"):
-            lm.build_feature_matrix(panel, series)
-
-    def test_day_outside_series_span_rejected(self, small_panel):
-        panel, sessions, _, _ = small_panel
-        start = panel.season_starts[2014]
-        series = lm.build_load_series([s for s in sessions if (s.date - start).days < 30],
-                                      season_starts=panel.season_starts)
-        span = series.season_lengths[2014]
-        first = next(day for athlete_id, day in zip(panel.athlete_ids, panel.season_day)
-                     if athlete_id == "A01" and day >= span)
-        with pytest.raises(ValueError, match=f"panel day {first} outside load series span"):
-            lm.build_feature_matrix(panel, series)
 
 
 def test_load_series_daily_aggregation():
@@ -358,6 +330,6 @@ def test_load_series_daily_aggregation():
     one = season_sessions("A01", start, [5], distance_m=1000.0)
     two = season_sessions("A01", start, [5], distance_m=500.0)
     anchor = season_sessions("A01", start, [0])
-    series = lm.build_load_series(anchor + one + two)
-    assert series.series("A01", 2014, "distance")[5] == 1500.0
-    assert series.series("A01", 2014, "distance")[3] == 0.0
+    series = lm.build_load_series(anchor + one + two, {2014: start})
+    assert series[("A01", 2014)]["distance"][5] == 1500.0
+    assert series[("A01", 2014)]["distance"][3] == 0.0

@@ -9,7 +9,7 @@ import pytest
 
 from injurylab import pipeline
 from injurylab.domain import build_daily_panel, split_by_season
-from injurylab.load_metrics import build_feature_matrix, build_load_series
+from injurylab.load_metrics import build_feature_matrix
 from injurylab.models import ModelSpec
 from injurylab.pipeline import (Cell, ModelingData, PipelineSettings, Protocol,
                                 assemble_modeling_data, learning_curve,
@@ -27,10 +27,9 @@ def cohort_data():
     panel = build_daily_panel(cohort.sessions, cohort.injuries, cohort.athletes)
     from injurylab.preprocess import impute_session_values
     sessions = impute_session_values(cohort.sessions, stream_rng(1, 0, "ingest"))
-    series = build_load_series(sessions, season_starts=panel.season_starts)
-    features = build_feature_matrix(panel, series)
+    features = build_feature_matrix(panel, sessions)
     split = split_by_season(panel, [2014], [2015])
-    return assemble_modeling_data(split, features)
+    return assemble_modeling_data(panel, split, features)
 
 
 def synthetic_modeling_data(rng, n_train=220, n_test=120, p=6, signal=2.0):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from injurylab.domain import build_daily_panel, parse_athletes, parse_injuries, parse_sessions
-from injurylab.load_metrics import build_feature_matrix, build_load_series
+from injurylab.load_metrics import build_feature_matrix
 from injurylab.synthdata import (CohortConfig, generate_cohort, null_config,
                                  signal_config, write_cohort_csvs)
 
@@ -142,8 +142,7 @@ class TestSelfConsistency:
 
         cohort = generate_cohort(small_config(seed=9, season_weeks=14))
         panel = build_daily_panel(cohort.sessions, cohort.injuries, cohort.athletes)
-        series = build_load_series(cohort.sessions, season_starts=panel.season_starts)
-        features = build_feature_matrix(panel, series)
+        features = build_feature_matrix(panel, cohort.sessions)
         acwr_col = features.column("distance_acwr3_21")
         ra_col = features.column("distance_ra21")
         truth_by_key = {(t.athlete_id, t.date): t for t in cohort.truth}
