@@ -2,11 +2,17 @@
 correlation over each athlete's time-ordered observations.
 
 The correlation parameter is a lag-1 moment estimator over Pearson residuals;
-beta updates are Fisher scoring steps.  A group's rows must form one contiguous
-run; rows i and i+1 are linked when they share a group.  R(alpha)^-1 = L'L for
-the bidiagonal L that keeps a group's first row and maps each linked row to
-(b_i - alpha b_{i-1}) / sqrt(1 - alpha^2) (Prais & Winsten 1954), so one
-whitening pass over all rows applies the block-diagonal inverse.
+beta updates are Fisher scoring steps, each scaled down so that its largest
+component is at most GEE_MAX_STEP.  From the null start on many correlated
+raw columns a full step overshoots, and repeated full steps diverge; capped
+steps walk to the same root, near which the full steps fall below the cap.
+Convergence is judged on the full, unscaled step.
+
+A group's rows must form one contiguous run; rows i and i+1 are linked when
+they share a group.  R(alpha)^-1 = L'L for the bidiagonal L that keeps a
+group's first row and maps each linked row to (b_i - alpha b_{i-1}) /
+sqrt(1 - alpha^2) (Prais & Winsten 1954), so one whitening pass over all rows
+applies the block-diagonal inverse.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .base import (ConvergenceError, TrainedModel, check_binary_labels,
 from .linear import _score_linear
 
 GEE_TOL = 1e-6
+GEE_MAX_STEP = 10.0
 GEE_MAX_ITER = 200
 _MIN_VAR = 1e-10
 _ALPHA_BOUND = 0.95
@@ -66,6 +73,10 @@ def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
     """Fit the GEE on one group label per row; rows must be grouped by athlete
     (ValueError otherwise) and time-ordered within each group.  ``alpha=None``
     re-estimates the working correlation each iteration; a fixed value pins it.
+
+    Each Fisher step is scaled so that max|step| <= GEE_MAX_STEP.  The fit
+    converges when the full, unscaled step is below ``tol``; at the iteration
+    cap, ConvergenceError reports that full step as ``last_step``.
     """
     X = np.asarray(X, dtype=float)
     y = check_binary_labels(y)
@@ -92,8 +103,10 @@ def fit_gee_ar1(X, y, groups, alpha: float | None = None, tol: float = GEE_TOL,
             step = np.linalg.solve(W.T @ W, W.T @ _whiten(pearson, alpha_hat, links))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular GEE information matrix: {exc}") from exc
-        theta = theta + step
         last_step = float(np.max(np.abs(step)))
+        if last_step > GEE_MAX_STEP:
+            step *= GEE_MAX_STEP / last_step
+        theta = theta + step
         if last_step < tol:
             return TrainedModel(
                 family="gee_ar1",

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from injurylab.metrics import auc
 from injurylab.models import (ConvergenceError, fit_gee_ar1, fit_logistic_irls,
                               sigmoid)
+from injurylab.models import gee
 from injurylab.models.gee import _ALPHA_BOUND, _MIN_VAR, GEE_MAX_ITER, GEE_TOL, _whiten
+from injurylab.pipeline import (PipelineSettings, Protocol, fit_preprocessing,
+                                modeling_data_from_records)
+from injurylab.synthdata import generate_cohort, signal_config
 
 
 def grouped_data(rng, n_groups=25, group_size=12, p=3):
@@ -248,3 +253,69 @@ class TestGeeAr1:
         interleaved = np.array([f"G{i % 25}" for i in range(groups.size)])
         with pytest.raises(ValueError, match="not contiguous"):
             fit_gee_ar1(X, y, interleaved)
+
+
+class TestStepCap:
+    """Each Fisher step is scaled to max|step| <= GEE_MAX_STEP, while
+    convergence and the iteration-cap report use the full step."""
+
+    def test_capped_steps_reach_the_uncapped_root(self, rng, monkeypatch):
+        X, y, groups = grouped_data(rng)
+        uncapped = fit_gee_ar1(X, y, groups)
+        monkeypatch.setattr(gee, "GEE_MAX_STEP", 0.5)
+        capped = fit_gee_ar1(X, y, groups)
+        assert capped.metadata["iterations"] > uncapped.metadata["iterations"]
+        assert capped.params["intercept"] == pytest.approx(uncapped.params["intercept"],
+                                                           abs=1e-6)
+        np.testing.assert_allclose(capped.params["beta"], uncapped.params["beta"],
+                                   atol=1e-6)
+        assert capped.params["working_alpha"] == pytest.approx(
+            uncapped.params["working_alpha"], abs=1e-6)
+
+    def test_iteration_cap_reports_the_full_step(self, rng, monkeypatch):
+        X, y, groups = grouped_data(rng)
+        with pytest.raises(ConvergenceError) as info:
+            fit_gee_ar1(X, y, groups, max_iter=1)
+        full_step = info.value.diagnostics["last_step"]
+        monkeypatch.setattr(gee, "GEE_MAX_STEP", 0.5)
+        assert full_step > gee.GEE_MAX_STEP
+        with pytest.raises(ConvergenceError) as info:
+            fit_gee_ar1(X, y, groups, max_iter=1)
+        assert info.value.diagnostics["last_step"] == full_step
+        assert f"last max step={full_step:.3e}" in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def raw_signal_panel():
+    """The standardized 60 raw load columns of a 12-athlete x 26-week signal
+    cohort, trained on 2014-2015 and tested on 2016: (Z, y, groups, Z_test,
+    y_test) for the nc outcome."""
+    cohort = generate_cohort(signal_config(seed=7000, n_athletes=12,
+                                           seasons=(2014, 2015, 2016), season_weeks=26,
+                                           missing_rate=0.02, newcomer_fraction=0.0))
+    data = modeling_data_from_records(cohort.sessions, cohort.injuries, cohort.athletes,
+                                      (2014, 2015), (2016,))[3]
+    bundle, Z = fit_preprocessing(data.X_train, PipelineSettings(), Protocol(),
+                                  np.random.default_rng(1))
+    Z_test = bundle.transform(data.X_test, np.random.default_rng(2))
+    return Z, data.y_train["nc"], data.groups_train, Z_test, data.y_test["nc"]
+
+
+class TestRawSignalPanel:
+    """Taken in full, Fisher steps from the null start overshoot and diverge
+    on these columns; capped steps converge."""
+
+    @pytest.mark.parametrize("alpha", [None, 0.0])
+    def test_converges_with_signal(self, raw_signal_panel, alpha):
+        Z, y, groups, Z_test, y_test = raw_signal_panel
+        assert Z.shape[1] == 60
+        model = fit_gee_ar1(Z, y, groups, alpha=alpha)
+        assert model.metadata["iterations"] <= 30
+        assert auc(model.score(Z_test), y_test) > 0.5
+
+    def test_zero_alpha_matches_independence_logistic(self, raw_signal_panel):
+        Z, y, groups, _, _ = raw_signal_panel
+        model = fit_gee_ar1(Z, y, groups, alpha=0.0)
+        b, beta = fit_logistic_irls(Z, y, tol=1e-10, max_iter=200)
+        assert model.params["intercept"] == pytest.approx(b, abs=1e-6)
+        np.testing.assert_allclose(model.params["beta"], beta, atol=1e-6)
