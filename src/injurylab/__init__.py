@@ -14,9 +14,8 @@ from .domain import (AthleteProfile, DailyPanel, InjuryRecord, SessionRecord,
                      SplitDataset, build_daily_panel, label_outcomes,
                      parse_athletes, parse_injuries, parse_sessions,
                      split_by_season)
-from .load_metrics import (FeatureMatrix, acwr, build_feature_matrix,
-                           build_load_series, ew_acwr, ewma, feature_columns,
-                           monotony7, rolling_average, strain7)
+from .load_metrics import (FeatureMatrix, build_feature_matrix,
+                           build_load_series, feature_columns)
 from .metrics import (OperatingPoint, RocCurve, auc, operating_metrics,
                       optimal_operating_point, rank_biserial, roc_curve,
                       subgroup_auc)

@@ -6,12 +6,15 @@ acute vs 21 day chronic, plain and exponentially weighted) and 7-day
 monotony/strain.  Every feature on day i is computed from loads strictly
 before day i, so perturbing a day's load never changes that day's features.
 
-Series are dense per (athlete, season) calendar-day arrays; non-session days
-contribute zero load.  Accumulators reset at season boundaries.  The panel's
-season starts are the one calendar: `build_feature_matrix` lays the session
-loads on them itself and is the package's one caller of `build_load_series`.
-The matrix is built from one table per athlete-season, in which each EWMA
-span is computed once and shared by its EWMA and EW-ACWR columns.
+Each feature has one definition, a whole-season series function evaluated
+for every day of an athlete-season at once; an ACWR is the ratio of two
+rolling-average or two EWMA series.  Series are dense per (athlete, season)
+calendar-day arrays; non-session days contribute zero load.  Accumulators
+reset at season boundaries.  The panel's season starts are the one calendar:
+`build_feature_matrix` lays the session loads on them itself and is the
+package's one caller of `build_load_series`.  The matrix is built from one
+table per athlete-season, in which each window and span is computed once and
+shared by its own column and the ACWR columns.
 """
 
 from __future__ import annotations
@@ -46,96 +49,11 @@ def ewma_lambda(span: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-day scalar features (w is the daily load array for one athlete-season)
-
-
-def rolling_average(w, i: int, window: int) -> float:
-    """Mean load over the `window` days strictly before day i; nan if i < window."""
-    w = np.asarray(w, dtype=float)
-    if i < window:
-        return float("nan")
-    return float(np.mean(w[i - window:i]))
-
-
-def ewma(w, i: int, span: int) -> float:
-    """Exponentially weighted moving average at day i, seeded at 0.
-
-    Recurrence value_{j+1} = lam * w_j + (1 - lam) * value_j, evaluated from
-    the season start; the result depends only on loads before day i.
-    """
-    w = np.asarray(w, dtype=float)
-    lam = ewma_lambda(span)
-    value = 0.0
-    for j in range(i):
-        value = lam * w[j] + (1.0 - lam) * value
-    return value
-
-
-def monotony7(w, i: int, cap: float = MONOTONY_CAP, variable: str | None = None) -> float:
-    """Mean / sample standard deviation of the previous 7 daily loads.
-
-    All-zero week -> 0; zero-variance week with load -> `cap`.
-    """
-    if variable == "hsr":
-        raise ValueError("monotony is not defined for hsr")
-    w = np.asarray(w, dtype=float)
-    if i < MONOTONY_WINDOW:
-        return float("nan")
-    week = w[i - MONOTONY_WINDOW:i]
-    total = float(np.sum(week))
-    if np.isnan(total):
-        return float("nan")
-    if total == 0.0:
-        return 0.0
-    sd = float(np.std(week, ddof=1))
-    if sd < _SD_EPS:
-        return cap
-    return float(np.mean(week)) / sd
-
-
-def strain7(w, i: int, cap: float = MONOTONY_CAP, variable: str | None = None) -> float:
-    """Sum of the previous 7 daily loads times the monotony over the same week."""
-    if variable == "hsr":
-        raise ValueError("strain is not defined for hsr")
-    w = np.asarray(w, dtype=float)
-    if i < MONOTONY_WINDOW:
-        return float("nan")
-    total = float(np.sum(w[i - MONOTONY_WINDOW:i]))
-    if np.isnan(total):
-        return float("nan")
-    if total == 0.0:
-        return 0.0
-    return total * monotony7(w, i, cap=cap)
-
-
-def acwr(w, i: int, acute: int = 3, chronic: int = CHRONIC_WINDOW) -> float:
-    """Acute:chronic workload ratio; 0 when there is no chronic workload."""
-    w = np.asarray(w, dtype=float)
-    if i < chronic:
-        return float("nan")
-    chronic_mean = float(np.mean(w[i - chronic:i]))
-    if np.isnan(chronic_mean):
-        return float("nan")
-    if chronic_mean == 0.0:
-        return 0.0
-    return float(np.mean(w[i - acute:i])) / chronic_mean
-
-
-def ew_acwr(w, i: int, span_acute: int = 3, span_chronic: int = CHRONIC_WINDOW) -> float:
-    """ACWR with the rolling averages replaced by EWMAs; 0 when the chronic EWMA is 0."""
-    chronic_value = ewma(w, i, span_chronic)
-    if np.isnan(chronic_value):
-        return float("nan")
-    if chronic_value == 0.0:
-        return 0.0
-    return ewma(w, i, span_acute) / chronic_value
-
-
-# ---------------------------------------------------------------------------
-# Whole-series versions (value for every day of the season at once)
+# Feature series (w is the daily load array for one athlete-season)
 
 
 def rolling_average_series(w, window: int) -> np.ndarray:
+    """Mean load over the `window` days before each day; NaN on the first `window`."""
     w = np.asarray(w, dtype=float)
     n = w.size
     out = np.full(n, np.nan)
@@ -146,6 +64,7 @@ def rolling_average_series(w, window: int) -> np.ndarray:
 
 
 def ewma_series(w, span: int) -> np.ndarray:
+    """EWMA seeded at 0: value_{i+1} = lam * w_i + (1 - lam) * value_i."""
     w = np.asarray(w, dtype=float)
     lam = ewma_lambda(span)
     out = np.empty(w.size)
@@ -156,12 +75,19 @@ def ewma_series(w, span: int) -> np.ndarray:
     return out
 
 
-def monotony7_series(w, cap: float = MONOTONY_CAP) -> np.ndarray:
+def monotony_strain_series(w, cap: float = MONOTONY_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Monotony and strain over the 7 days before each day; NaN on the first 7.
+
+    Monotony is the week's mean / sample standard deviation: 0 for an
+    all-zero week, `cap` for a week with load but (near-)zero variation.
+    Strain is the week's total times its monotony.
+    """
     w = np.asarray(w, dtype=float)
     n = w.size
-    out = np.full(n, np.nan)
+    monotony = np.full(n, np.nan)
+    strain = np.full(n, np.nan)
     if n <= MONOTONY_WINDOW:
-        return out
+        return monotony, strain
     weeks = sliding_window_view(w, MONOTONY_WINDOW)[: n - MONOTONY_WINDOW]
     totals = weeks.sum(axis=1)
     sds = weeks.std(axis=1, ddof=1)
@@ -170,33 +96,15 @@ def monotony7_series(w, cap: float = MONOTONY_CAP) -> np.ndarray:
         values = means / sds
     values = np.where(sds < _SD_EPS, cap, values)
     values = np.where(totals == 0.0, 0.0, values)
-    out[MONOTONY_WINDOW:] = values
-    return out
-
-
-def strain7_series(w, cap: float = MONOTONY_CAP) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    n = w.size
-    out = np.full(n, np.nan)
-    if n <= MONOTONY_WINDOW:
-        return out
-    totals = sliding_window_view(w, MONOTONY_WINDOW)[: n - MONOTONY_WINDOW].sum(axis=1)
-    out[MONOTONY_WINDOW:] = totals * monotony7_series(w, cap=cap)[MONOTONY_WINDOW:]
-    return out
+    monotony[MONOTONY_WINDOW:] = values
+    strain[MONOTONY_WINDOW:] = totals * values
+    return monotony, strain
 
 
 def _ratio(acute, chronic) -> np.ndarray:
     """acute / chronic, with 0 where there is no chronic workload."""
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(chronic == 0.0, 0.0, acute / chronic)
-
-
-def acwr_series(w, acute: int, chronic: int = CHRONIC_WINDOW) -> np.ndarray:
-    return _ratio(rolling_average_series(w, acute), rolling_average_series(w, chronic))
-
-
-def ew_acwr_series(w, span_acute: int, span_chronic: int = CHRONIC_WINDOW) -> np.ndarray:
-    return _ratio(ewma_series(w, span_acute), ewma_series(w, span_chronic))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +207,8 @@ def _load_table(loads: dict[str, np.ndarray], cap: float) -> np.ndarray:
             series[f"{variable}_acwr{suffix}"] = _ratio(ra[acute], ra[CHRONIC_WINDOW])
             series[f"{variable}_ewacwr{suffix}"] = _ratio(ew[acute], ew[CHRONIC_WINDOW])
         if variable in MONOTONY_VARIABLES:
-            series[f"{variable}_monotony7"] = monotony7_series(w, cap=cap)
-            series[f"{variable}_strain7"] = strain7_series(w, cap=cap)
+            series[f"{variable}_monotony7"], series[f"{variable}_strain7"] = (
+                monotony_strain_series(w, cap=cap))
     return np.column_stack([series[name] for name in feature_columns()[:-len(_PANEL_COLUMNS)]])
 
 

@@ -110,22 +110,23 @@ def stratified_fold_ids(y, folds: int, rng: np.random.Generator) -> np.ndarray:
 def grouped_fold_ids(y, groups, folds: int, rng: np.random.Generator) -> np.ndarray:
     """Assign whole groups to folds, greedily balancing positive counts."""
     y = np.asarray(y)
-    groups = np.asarray(groups)
-    unique = list(dict.fromkeys(groups.tolist()))
-    order = rng.permutation(len(unique))
-    group_pos = {g: int(np.count_nonzero(y[groups == g] == 1)) for g in unique}
-    shuffled = sorted((unique[i] for i in order),
-                      key=lambda g: -group_pos[g])
+    _, first, inverse = np.unique(np.asarray(groups), return_index=True,
+                                  return_inverse=True)
+    inverse = np.argsort(np.argsort(first))[inverse]   # first-appearance order
+    group_pos = np.bincount(inverse[y == 1], minlength=first.size)
+    group_n = np.bincount(inverse, minlength=first.size)
+    order = rng.permutation(first.size)
+    shuffled = order[np.argsort(-group_pos[order], kind="stable")]
     fold_pos = np.zeros(folds)
     fold_n = np.zeros(folds)
-    assignment: dict = {}
+    assignment = np.empty(first.size, dtype=int)
     for g in shuffled:
         # least positives, then least rows, keeps folds usable for AUC
         target = int(np.lexsort((fold_n, fold_pos))[0])
         assignment[g] = target
         fold_pos[target] += group_pos[g]
-        fold_n[target] += int(np.count_nonzero(groups == g))
-    return np.array([assignment[g] for g in groups.tolist()], dtype=int)
+        fold_n[target] += group_n[g]
+    return assignment[inverse]
 
 
 def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,

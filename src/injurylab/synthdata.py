@@ -3,9 +3,11 @@
 Each athlete follows a weekly schedule (4 training days + 1 match).  Daily
 loads are log-normal with occasional acute overload weeks; the per-day injury
 hazard is a logistic function of the day's acute:chronic workload ratio
-excess above 1, the standardized chronic load and the athlete's age - all
-computed with this package's own load-metric functions so the planted
-mechanism is exactly recoverable from the emitted CSV files.
+excess above 1, the standardized chronic load and the athlete's age.  The
+ACWR and chronic load are the same window means over the same days as the
+hazard variable's ACWR and 21-day rolling-average feature columns, so the
+planted mechanism is exactly recoverable from the emitted CSV files;
+tests/test_synthdata.py::TestSelfConsistency checks this to the bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .domain import (ATHLETES_HEADER, INJURIES_HEADER, SESSIONS_HEADER,
                      AthleteProfile, InjuryRecord, SessionRecord, csv_bool,
                      write_csv)
-from .load_metrics import CHRONIC_WINDOW, acwr, rolling_average
+from .load_metrics import CHRONIC_WINDOW
 
 TRAINING_OFFSETS = (0, 1, 3, 4)   # weekly pattern, day 5 is the match
 MATCH_OFFSET = 5
@@ -226,8 +228,11 @@ def _generate_athlete_season(config, rng, athlete_id, dob, season,
             # after evaluating the day's risk
             age_years = (date - dob).days / 365.25
             age_z = (age_years - config.age_center) / config.age_scale
-            acwr_value = acwr(series, day, config.acute_window, CHRONIC_WINDOW)
-            chronic = rolling_average(series, day, CHRONIC_WINDOW)
+            acwr_value = chronic = math.nan
+            if day >= CHRONIC_WINDOW:
+                chronic = float(np.mean(series[day - CHRONIC_WINDOW:day]))
+                acwr_value = (0.0 if chronic == 0.0 else
+                              float(np.mean(series[day - config.acute_window:day])) / chronic)
             excess = max(acwr_value - 1.0, 0.0) if not math.isnan(acwr_value) else 0.0
             chronic_z = ((chronic - config.chronic_center) / config.chronic_scale
                          if not math.isnan(chronic) else 0.0)

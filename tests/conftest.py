@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from injurylab import load_metrics as lm
 from injurylab.domain import (AthleteProfile, InjuryRecord, SessionRecord,
                               build_daily_panel)
 
@@ -33,6 +34,18 @@ def season_sessions(athlete_id, start, day_offsets, season=None, **kwargs):
                      season=season, **kwargs)
         for off in day_offsets
     ]
+
+
+def load_features(w):
+    """The twelve load features of one daily load array, ``{suffix: series}``
+    (``"ra3"`` ... ``"strain7"``), read from the athlete-season table that
+    `build_feature_matrix` builds."""
+    w = np.asarray(w, dtype=float)
+    table = lm._load_table({variable: w for variable in lm.VARIABLES}, lm.MONOTONY_CAP)
+    prefix = "distance_"
+    return {name[len(prefix):]: table[:, k]
+            for k, name in enumerate(lm.feature_columns()[:table.shape[1]])
+            if name.startswith(prefix)}
 
 
 @pytest.fixture

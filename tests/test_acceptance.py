@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import injurylab as il
-from injurylab import load_metrics as lm
 from injurylab.cli import main as cli_main
 from injurylab.metrics import (auc, binomial_sign_test_p, operating_metrics,
                                optimal_operating_point, roc_curve)
@@ -26,6 +25,8 @@ from injurylab.preprocess import (PmmImputer, apply_standardize, pca_fit,
                                   pca_transform, smote, standardize,
                                   undersample)
 from injurylab.synthdata import generate_cohort, null_config, signal_config
+
+from conftest import load_features
 
 
 class criterion:
@@ -69,13 +70,14 @@ def test_criterion_01_feature_oracle_equivalence():
             w = rng.uniform(0.0, 900.0, size=n)
             w[rng.random(n) < 0.35] = 0.0
 
+            features = load_features(w)
             computed = {
-                **{("ra", c): lm.rolling_average_series(w, c) for c in spans},
-                **{("ewma", s): lm.ewma_series(w, s) for s in spans},
-                **{("acwr", a): lm.acwr_series(w, a) for a in (3, 6)},
-                **{("ewacwr", s): lm.ew_acwr_series(w, s) for s in (3, 6)},
-                ("monotony", 7): lm.monotony7_series(w),
-                ("strain", 7): lm.strain7_series(w),
+                **{("ra", c): features[f"ra{c}"] for c in spans},
+                **{("ewma", s): features[f"ewma{s}"] for s in spans},
+                **{("acwr", a): features[f"acwr{a}_21"] for a in (3, 6)},
+                **{("ewacwr", s): features[f"ewacwr{s}_21"] for s in (3, 6)},
+                ("monotony", 7): features["monotony7"],
+                ("strain", 7): features["strain7"],
             }
             weights = {s: (2.0 / (s + 1)) * (1 - 2.0 / (s + 1)) ** np.arange(n)
                        for s in spans}
@@ -123,18 +125,15 @@ def test_criterion_01_feature_oracle_equivalence():
 def test_criterion_02_no_leakage():
     with criterion(2, "same-day loads and test rows leak into nothing"):
         rng = np.random.default_rng(7)
-        # (a) day-i features ignore the day-i load, exactly
+        # (a) features on days <= i ignore the day-i load, to the bit
         for _ in range(50):
             w = rng.uniform(0, 600, size=50)
             i = int(rng.integers(22, 49))
-            before = (lm.rolling_average(w, i, 21), lm.ewma(w, i, 6),
-                      lm.monotony7(w, i), lm.strain7(w, i),
-                      lm.acwr(w, i, 3), lm.ew_acwr(w, i, 3))
+            before = load_features(w)
             w[i] = w[i] * 5.0 + 1234.5
-            after = (lm.rolling_average(w, i, 21), lm.ewma(w, i, 6),
-                     lm.monotony7(w, i), lm.strain7(w, i),
-                     lm.acwr(w, i, 3), lm.ew_acwr(w, i, 3))
-            assert before == after
+            after = load_features(w)
+            for name, series in before.items():
+                assert series[:i + 1].tobytes() == after[name][:i + 1].tobytes(), name
 
         # (b) poisoning test rows changes no fitted preprocessing parameter
         X_train = rng.normal(size=(120, 6))

@@ -7,17 +7,17 @@ import pytest
 from injurylab import load_metrics as lm
 from injurylab.domain import build_daily_panel
 
-from conftest import make_athlete, season_sessions
+from conftest import load_features, make_athlete, season_sessions
 
 
 # naive re-implementations used as independent oracles
-def naive_rolling_average(w, i, c):
+def naive_window_mean(w, i, c):
     if i < c:
         return float("nan")
     return sum(w[i - c:i]) / c
 
 
-def naive_ewma(w, i, span):
+def naive_exp_mean(w, i, span):
     lam = 2.0 / (span + 1.0)
     return sum(lam * (1.0 - lam) ** k * w[i - 1 - k] for k in range(i))
 
@@ -37,34 +37,39 @@ def naive_strain(w, i, cap=10.0):
     return 0.0 if total == 0.0 else total * naive_monotony(w, i, cap)
 
 
-def naive_acwr(w, i, a, c):
+def naive_ratio(w, i, a, c):
     chronic = sum(w[i - c:i]) / c
     if chronic == 0.0:
         return 0.0
     return (sum(w[i - a:i]) / a) / chronic
 
 
-def naive_ew_acwr(w, i, sa, sc):
-    chronic = naive_ewma(w, i, sc)
+def naive_exp_ratio(w, i, sa, sc):
+    chronic = naive_exp_mean(w, i, sc)
     if chronic == 0.0:
         return 0.0
-    return naive_ewma(w, i, sa) / chronic
+    return naive_exp_mean(w, i, sa) / chronic
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestRollingAverage:
     def test_constant_series(self):
-        w = np.full(40, 100.0)
-        assert lm.rolling_average(w, 30, 21) == 100.0
+        assert lm.rolling_average_series(np.full(40, 100.0), 21)[30] == 100.0
 
     def test_forced_arithmetic(self):
         w = np.array([10.0, 20.0, 30.0, 0.0])
-        assert lm.rolling_average(w, 3, 3) == 20.0
+        assert lm.rolling_average_series(w, 3)[3] == 20.0
 
     def test_zero_window(self):
-        assert lm.rolling_average(np.zeros(30), 25, 21) == 0.0
+        assert lm.rolling_average_series(np.zeros(30), 21)[25] == 0.0
 
     def test_insufficient_history_is_missing(self):
-        assert np.isnan(lm.rolling_average(np.ones(30), 20, 21))
+        series = lm.rolling_average_series(np.ones(30), 21)
+        assert np.isnan(series[:21]).all()
+        assert series[21] == 1.0
 
 
 class TestEwma:
@@ -73,87 +78,82 @@ class TestEwma:
 
     def test_two_step_recurrence(self):
         # seed 0, loads (10, 20), lam .5: .5*20 + .5*(.5*10 + .5*0) = 12.5
-        assert lm.ewma(np.array([10.0, 20.0]), 2, 3) == 12.5
+        assert lm.ewma_series(np.array([10.0, 20.0, 0.0]), 3)[2] == 12.5
 
     def test_all_zero(self):
-        assert lm.ewma(np.zeros(50), 30, 6) == 0.0
+        assert (lm.ewma_series(np.zeros(50), 6) == 0.0).all()
 
     def test_matches_explicit_weighted_sum(self, rng):
         for _ in range(50):
             w = rng.uniform(0, 500, size=60)
             i = int(rng.integers(1, 60))
             span = int(rng.choice([3, 6, 21]))
-            assert lm.ewma(w, i, span) == pytest.approx(naive_ewma(w, i, span), abs=1e-9)
+            assert lm.ewma_series(w, span)[i] == pytest.approx(naive_exp_mean(w, i, span),
+                                                               abs=1e-9)
 
 
 class TestMonotonyStrain:
     def test_hand_computed_week(self):
         w = np.array([1.0, 2, 3, 4, 5, 6, 7, 0])
+        monotony, strain = lm.monotony_strain_series(w)
         # mean 4, sample sd sqrt(28/6)
         expected = 4.0 / (28.0 / 6.0) ** 0.5
-        assert lm.monotony7(w, 7) == pytest.approx(expected, abs=1e-12)
+        assert monotony[7] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.8516, abs=1e-4)
-        assert lm.strain7(w, 7) == pytest.approx(28.0 * expected, abs=1e-9)
-        assert lm.strain7(w, 7) == pytest.approx(51.85, abs=0.01)
+        assert strain[7] == pytest.approx(28.0 * expected, abs=1e-9)
+        assert strain[7] == pytest.approx(51.85, abs=0.01)
+        assert np.isnan(monotony[:7]).all() and np.isnan(strain[:7]).all()
 
     def test_all_zero_week(self):
-        w = np.zeros(10)
-        assert lm.monotony7(w, 7) == 0.0
-        assert lm.strain7(w, 7) == 0.0
+        monotony, strain = lm.monotony_strain_series(np.zeros(10))
+        assert monotony[7] == 0.0
+        assert strain[7] == 0.0
 
     def test_constant_week_hits_cap(self):
-        w = np.full(10, 100.0)
-        assert lm.monotony7(w, 7) == 10.0
-        assert lm.strain7(w, 7) == 700.0 * 10.0
+        monotony, strain = lm.monotony_strain_series(np.full(10, 100.0))
+        assert monotony[7] == 10.0
+        assert strain[7] == 700.0 * 10.0
 
     def test_cap_only_below_sd_threshold(self):
         # tiny but real variation: ratio may exceed the cap, cap not applied
         w = np.full(10, 5.0)
         w[3] += 1e-6
-        value = lm.monotony7(w, 7)
-        assert value > 10.0
+        assert lm.monotony_strain_series(w)[0][7] > 10.0
         # true zero variance triggers the cap exactly
-        assert lm.monotony7(np.full(10, 5.0), 7) == 10.0
+        assert lm.monotony_strain_series(np.full(10, 5.0))[0][7] == 10.0
 
     def test_configurable_cap(self):
-        assert lm.monotony7(np.full(10, 5.0), 7, cap=25.0) == 25.0
-
-    def test_hsr_usage_error(self):
-        with pytest.raises(ValueError, match="hsr"):
-            lm.monotony7(np.ones(10), 7, variable="hsr")
-        with pytest.raises(ValueError, match="hsr"):
-            lm.strain7(np.ones(10), 7, variable="hsr")
+        assert lm.monotony_strain_series(np.full(10, 5.0), cap=25.0)[0][7] == 25.0
 
 
 class TestAcwr:
     def test_constant_series_is_one(self):
-        assert lm.acwr(np.full(40, 250.0), 30, 3, 21) == 1.0
+        assert load_features(np.full(40, 250.0))["acwr3_21"][30] == 1.0
 
     def test_zero_chronic_rule(self):
-        w = np.zeros(40)
-        assert lm.acwr(w, 25, 3, 21) == 0.0
+        assert load_features(np.zeros(40))["acwr3_21"][25] == 0.0
 
     def test_direct_formula(self):
-        w = np.concatenate([np.full(18, 125.0), np.full(3, 300.0)])
-        assert lm.acwr(w, 21, 3, 21) == pytest.approx(2.0, abs=1e-12)
+        w = np.concatenate([np.full(18, 125.0), np.full(3, 300.0), [0.0]])
+        assert load_features(w)["acwr3_21"][21] == pytest.approx(2.0, abs=1e-12)
 
     def test_insufficient_history(self):
-        assert np.isnan(lm.acwr(np.ones(40), 20, 3, 21))
+        assert np.isnan(load_features(np.ones(40))["acwr3_21"][20])
 
 
 class TestEwAcwr:
     def test_constant_converges_to_one(self):
         w = np.full(200, 420.0)
-        assert lm.ew_acwr(w, 199, 3, 21) == pytest.approx(1.0, abs=1e-6)
+        assert load_features(w)["ewacwr3_21"][199] == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zero(self):
-        assert lm.ew_acwr(np.zeros(50), 30, 3, 21) == 0.0
+        assert load_features(np.zeros(50))["ewacwr3_21"][30] == 0.0
 
     def test_single_spike_one_step(self):
         w = np.zeros(30)
         w[9] = 700.0
         expected = (2.0 / 4.0) / (2.0 / 22.0)
-        assert lm.ew_acwr(w, 10, 3, 21) == pytest.approx(expected, abs=1e-12)
+        assert load_features(w)["ewacwr3_21"][10] == pytest.approx(expected, abs=1e-12)
         assert expected == 5.5
 
 
@@ -163,44 +163,38 @@ class TestSeriesOracleEquivalence:
             n = int(rng.integers(25, 90))
             w = rng.uniform(0, 800, size=n)
             w[rng.random(n) < 0.3] = 0.0
-            ra3 = lm.rolling_average_series(w, 3)
-            ra21 = lm.rolling_average_series(w, 21)
-            mono = lm.monotony7_series(w)
-            strain = lm.strain7_series(w)
-            acwr3 = lm.acwr_series(w, 3)
-            ew3 = lm.ew_acwr_series(w, 3)
+            features = load_features(w)
             for i in range(n):
                 if i >= 3:
-                    assert ra3[i] == pytest.approx(naive_rolling_average(w, i, 3), abs=1e-9)
+                    assert features["ra3"][i] == pytest.approx(
+                        naive_window_mean(w, i, 3), abs=1e-9)
                 if i >= 7:
-                    assert mono[i] == pytest.approx(naive_monotony(w, i), abs=1e-9)
-                    assert strain[i] == pytest.approx(naive_strain(w, i), abs=1e-9)
+                    assert features["monotony7"][i] == pytest.approx(
+                        naive_monotony(w, i), abs=1e-9)
+                    assert features["strain7"][i] == pytest.approx(
+                        naive_strain(w, i), abs=1e-9)
                 if i >= 21:
-                    assert ra21[i] == pytest.approx(naive_rolling_average(w, i, 21), abs=1e-9)
-                    assert acwr3[i] == pytest.approx(naive_acwr(w, i, 3, 21), abs=1e-9)
-                assert ew3[i] == pytest.approx(naive_ew_acwr(w, i, 3, 21), abs=1e-9)
-
-    def test_scalar_matches_series(self, rng):
-        w = rng.uniform(0, 500, size=50)
-        assert lm.rolling_average(w, 30, 6) == lm.rolling_average_series(w, 6)[30]
-        assert lm.ewma(w, 30, 6) == pytest.approx(lm.ewma_series(w, 6)[30], abs=1e-12)
-        assert lm.monotony7(w, 30) == pytest.approx(lm.monotony7_series(w)[30], abs=1e-12)
-        assert lm.acwr(w, 30, 6) == pytest.approx(lm.acwr_series(w, 6)[30], abs=1e-12)
-        assert lm.ew_acwr(w, 30, 6) == pytest.approx(lm.ew_acwr_series(w, 6)[30], abs=1e-12)
+                    assert features["ra21"][i] == pytest.approx(
+                        naive_window_mean(w, i, 21), abs=1e-9)
+                    assert features["acwr3_21"][i] == pytest.approx(
+                        naive_ratio(w, i, 3, 21), abs=1e-9)
+                assert features["ewacwr3_21"][i] == pytest.approx(
+                    naive_exp_ratio(w, i, 3, 21), abs=1e-9)
 
 
 class TestNoLeakage:
     def test_day_features_ignore_same_day_load(self, rng):
         w = rng.uniform(0, 500, size=60)
-        i = 40
-        before = [lm.rolling_average(w, i, 21), lm.ewma(w, i, 6),
-                  lm.monotony7(w, i), lm.strain7(w, i),
-                  lm.acwr(w, i, 3), lm.ew_acwr(w, i, 3)]
-        w[i] += 10000.0
-        after = [lm.rolling_average(w, i, 21), lm.ewma(w, i, 6),
-                 lm.monotony7(w, i), lm.strain7(w, i),
-                 lm.acwr(w, i, 3), lm.ew_acwr(w, i, 3)]
-        assert before == after
+        before = load_features(w)
+        assert len(before) == 12
+        for i in range(w.size):
+            raised = w.copy()
+            raised[i] += 10000.0
+            after = load_features(raised)
+            for name in before:
+                assert same_bits(before[name][:i + 1], after[name][:i + 1]), (name, i)
+            if i + 1 < w.size:   # the raised load does reach the next day
+                assert not same_bits(before["ewma3"][i + 1], after["ewma3"][i + 1])
 
 
 class TestScaleEquivariance:
@@ -208,13 +202,13 @@ class TestScaleEquivariance:
         w = rng.uniform(10, 500, size=60)
         s = 3.7
         i = 45
-        assert lm.rolling_average(s * w, i, 6) == pytest.approx(
-            s * lm.rolling_average(w, i, 6), rel=1e-12)
-        assert lm.ewma(s * w, i, 6) == pytest.approx(s * lm.ewma(w, i, 6), rel=1e-12)
-        assert lm.strain7(s * w, i) == pytest.approx(s * lm.strain7(w, i), rel=1e-9)
-        assert lm.monotony7(s * w, i) == pytest.approx(lm.monotony7(w, i), rel=1e-9)
-        assert lm.acwr(s * w, i, 3) == pytest.approx(lm.acwr(w, i, 3), rel=1e-12)
-        assert lm.ew_acwr(s * w, i, 3) == pytest.approx(lm.ew_acwr(w, i, 3), rel=1e-12)
+        base, scaled = load_features(w), load_features(s * w)
+        for name in ("ra6", "ewma6"):
+            assert scaled[name][i] == pytest.approx(s * base[name][i], rel=1e-12)
+        assert scaled["strain7"][i] == pytest.approx(s * base["strain7"][i], rel=1e-9)
+        assert scaled["monotony7"][i] == pytest.approx(base["monotony7"][i], rel=1e-9)
+        for name in ("acwr3_21", "ewacwr3_21"):
+            assert scaled[name][i] == pytest.approx(base[name][i], rel=1e-12)
 
 
 class TestFeatureMatrix:
@@ -267,7 +261,12 @@ class TestFeatureMatrix:
         assert not np.isnan(features.column("distance_monotony7")[row])
 
 
-#: every load feature suffix and the public series function it must equal
+def ratio(acute, chronic):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(chronic == 0.0, 0.0, acute / chronic)
+
+
+#: every load feature suffix and the public series functions it must equal
 SERIES_ORACLE = {
     "ra3": lambda w: lm.rolling_average_series(w, 3),
     "ra6": lambda w: lm.rolling_average_series(w, 6),
@@ -275,12 +274,14 @@ SERIES_ORACLE = {
     "ewma3": lambda w: lm.ewma_series(w, 3),
     "ewma6": lambda w: lm.ewma_series(w, 6),
     "ewma21": lambda w: lm.ewma_series(w, 21),
-    "acwr3_21": lambda w: lm.acwr_series(w, 3, 21),
-    "acwr6_21": lambda w: lm.acwr_series(w, 6, 21),
-    "ewacwr3_21": lambda w: lm.ew_acwr_series(w, 3, 21),
-    "ewacwr6_21": lambda w: lm.ew_acwr_series(w, 6, 21),
-    "monotony7": lambda w: lm.monotony7_series(w),
-    "strain7": lambda w: lm.strain7_series(w),
+    "acwr3_21": lambda w: ratio(lm.rolling_average_series(w, 3),
+                                lm.rolling_average_series(w, 21)),
+    "acwr6_21": lambda w: ratio(lm.rolling_average_series(w, 6),
+                                lm.rolling_average_series(w, 21)),
+    "ewacwr3_21": lambda w: ratio(lm.ewma_series(w, 3), lm.ewma_series(w, 21)),
+    "ewacwr6_21": lambda w: ratio(lm.ewma_series(w, 6), lm.ewma_series(w, 21)),
+    "monotony7": lambda w: lm.monotony_strain_series(w)[0],
+    "strain7": lambda w: lm.monotony_strain_series(w)[1],
 }
 
 
@@ -323,6 +324,33 @@ class TestFeatureMatrixLayout:
                                                    panel.season_day)
             ])
             np.testing.assert_array_equal(features.column(name), expected, err_msg=name)
+
+    def test_raised_load_reaches_only_later_rows(self, cohort):
+        panel, sessions = cohort
+        k = 20
+        target = sessions[k]
+        assert (target.athlete_id, target.season) == ("A01", 2014)
+        raised = list(sessions)
+        raised[k] = dataclasses.replace(
+            target, duration_min=target.duration_min + 30.0,
+            distance_m=target.distance_m + 5000.0, msr_m=target.msr_m + 500.0,
+            hsr_m=target.hsr_m + 150.0, player_load=target.player_load + 300.0)
+        before = lm.build_feature_matrix(panel, sessions)
+        after = lm.build_feature_matrix(panel, raised)
+        dates = np.asarray(panel.dates)
+        same_season = ((np.asarray(panel.athlete_ids) == "A01")
+                       & (np.asarray(panel.seasons) == 2014))
+        later = same_season & (dates > target.date)
+        day = np.flatnonzero(same_season & (dates == target.date))
+        assert day.size == 1
+        assert same_bits(before.values[~later], after.values[~later])
+        assert same_bits(before.values[day, :58], after.values[day, :58])
+        # A01 trains every second day
+        next_day = np.flatnonzero(same_season & (dates == target.date + dt.timedelta(days=2)))
+        changed = (before.values[next_day] != after.values[next_day])[0]
+        for variable in lm.VARIABLES:
+            assert any(changed[j] for j, name in enumerate(before.columns)
+                       if name.startswith(variable + "_")), variable
 
 
 def test_load_series_daily_aggregation():

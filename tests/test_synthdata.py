@@ -138,22 +138,18 @@ class TestNullCohort:
 
 class TestSelfConsistency:
     def test_recomputed_features_match_generator(self):
-        from injurylab.load_metrics import feature_columns
-
         cohort = generate_cohort(small_config(seed=9, season_weeks=14))
         panel = build_daily_panel(cohort.sessions, cohort.injuries, cohort.athletes)
         features = build_feature_matrix(panel, cohort.sessions)
-        acwr_col = features.column("distance_acwr3_21")
-        ra_col = features.column("distance_ra21")
         truth_by_key = {(t.athlete_id, t.date): t for t in cohort.truth}
+        truth = [truth_by_key[key] for key in zip(panel.athlete_ids, panel.dates)]
         checked = 0
-        for i in range(len(panel)):
-            truth = truth_by_key[(panel.athlete_ids[i], panel.dates[i])]
-            for recomputed, internal in ((acwr_col[i], truth.acwr_value),
-                                         (ra_col[i], truth.chronic_load)):
-                if math.isnan(internal):
-                    assert math.isnan(recomputed)
-                else:
-                    assert recomputed == pytest.approx(internal, abs=1e-9)
-                    checked += 1
+        for column, field in (("distance_acwr3_21", "acwr_value"),
+                              ("distance_ra21", "chronic_load")):
+            recomputed = features.column(column)
+            internal = np.array([getattr(t, field) for t in truth])
+            missing = np.isnan(internal)
+            np.testing.assert_array_equal(np.isnan(recomputed), missing, err_msg=column)
+            assert recomputed[~missing].tobytes() == internal[~missing].tobytes(), column
+            checked += int(np.count_nonzero(~missing))
         assert checked > 100

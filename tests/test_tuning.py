@@ -30,6 +30,28 @@ def failing_univariate(fails):
     return each_candidate(fit_one)
 
 
+def per_group_mask_fold_ids(y, groups, folds, rng):
+    """grouped_fold_ids as first written, with two full-length masks per
+    group; the oracle for the vectorised version."""
+    y = np.asarray(y)
+    groups = np.asarray(groups)
+    unique = list(dict.fromkeys(groups.tolist()))
+    order = rng.permutation(len(unique))
+    group_pos = {g: int(np.count_nonzero(y[groups == g] == 1)) for g in unique}
+    shuffled = sorted((unique[i] for i in order),
+                      key=lambda g: -group_pos[g])
+    fold_pos = np.zeros(folds)
+    fold_n = np.zeros(folds)
+    assignment: dict = {}
+    for g in shuffled:
+        # least positives, then least rows, keeps folds usable for AUC
+        target = int(np.lexsort((fold_n, fold_pos))[0])
+        assignment[g] = target
+        fold_pos[target] += group_pos[g]
+        fold_n[target] += int(np.count_nonzero(groups == g))
+    return np.array([assignment[g] for g in groups.tolist()], dtype=int)
+
+
 class TestFolds:
     def test_stratified_partition(self, rng):
         y = (rng.random(97) < 0.3).astype(int)
@@ -52,6 +74,22 @@ class TestFolds:
         fold_id = grouped_fold_ids(y, groups, 4, rng)
         for g in np.unique(groups):
             assert len(set(fold_id[groups == g])) == 1
+
+    def test_grouped_folds_match_per_group_masks(self, rng):
+        for trial in range(40):
+            n = int(rng.integers(20, 400))
+            # a few large groups, then many singletons, ids in no sorted order
+            n_large = int(rng.integers(1, 12))
+            codes = np.where(rng.random(n) < 0.5, rng.integers(0, n_large, size=n),
+                             n_large + np.arange(n))
+            ids = rng.permutation(1000 + n_large + n)[codes]
+            groups = (ids if trial % 2 else np.array([f"G{g}" for g in ids], dtype=object))
+            y = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(int)
+            folds = int(rng.integers(2, 11))
+            seed = int(rng.integers(2**32))
+            np.testing.assert_array_equal(
+                grouped_fold_ids(y, groups, folds, np.random.default_rng(seed)),
+                per_group_mask_fold_ids(y, groups, folds, np.random.default_rng(seed)))
 
     def test_fold_reduction_warns(self):
         y = np.r_[np.ones(4, dtype=int), np.zeros(50, dtype=int)]
