@@ -23,8 +23,8 @@ from .models import ModelSpec, TrainedModel, fit_gee_ar1, fit_model
 from .pipeline import (Cell, ModelingData, PipelineSettings, Protocol,
                        assemble_modeling_data, learning_curve,
                        run_pipeline_once, run_simulations)
-from .preprocess import (PcaProjection, PmmImputer, pca_fit, pca_transform,
-                         pmm_impute, smote, standardize, undersample)
+from .preprocess import (PcaProjection, PmmImputer, pca_fit, pca_transform, smote,
+                         standardize, undersample)
 from .synthdata import (CohortConfig, GeneratedCohort, generate_cohort,
                         null_config, signal_config, write_cohort_csvs)
 

@@ -254,24 +254,18 @@ def cmd_predict(cfg: RunConfig, manifest: Manifest, model_path: str) -> int:
     return 0
 
 
-def _train_threshold_point(train_scores, y_train, test_scores, y_test,
-                           cost_ratio, prevalence):
-    """Pick the threshold on training data, then measure it on the test set."""
-    train_curve = roc_curve(train_scores, y_train)
-    chosen = optimal_operating_point(train_curve, cost_ratio, prevalence)
-    threshold = chosen.threshold
-    predicted = test_scores >= threshold
-    y_test = np.asarray(y_test)
-    n_pos = int(np.count_nonzero(y_test == 1))
-    n_neg = y_test.size - n_pos
-    tpr = float(np.count_nonzero(predicted & (y_test == 1)) / n_pos)
-    fpr = float(np.count_nonzero(predicted & (y_test == 0)) / n_neg)
-    return operating_metrics(tpr, fpr, prevalence, cost_ratio=cost_ratio,
-                             threshold=threshold)
+def _train_threshold_point(train_curve, test_curve, cost_ratio, prevalence):
+    """The cost-optimal threshold of the training ROC, measured at the test
+    ROC point of the lowest test score at or above it."""
+    threshold = optimal_operating_point(train_curve, cost_ratio, prevalence).threshold
+    i = int(np.count_nonzero(test_curve.thresholds[1:] >= threshold))
+    return operating_metrics(float(test_curve.tpr[i]), float(test_curve.fpr[i]),
+                             prevalence, cost_ratio=cost_ratio, threshold=threshold)
 
 
 def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
     data = _modeling_data(cfg)[2]
+    train_side = cfg.operating_point_source == "train"
 
     def evaluate(task, run):
         cell = task.cell
@@ -283,12 +277,11 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
             roc_rows.append(tag + [_fmt(float(threshold)), _fmt(float(fpr)),
                                    _fmt(float(tpr))])
         prevalence = float(np.mean(y_test))
+        if train_side:
+            train_curve = roc_curve(run.train_scores, data.y_train[cell.outcome])
         for ratio in cfg.cost_ratios:
-            if cfg.operating_point_source == "train":
-                point = _train_threshold_point(run.train_scores,
-                                               data.y_train[cell.outcome],
-                                               run.test_scores, y_test,
-                                               ratio, prevalence)
+            if train_side:
+                point = _train_threshold_point(train_curve, curve, ratio, prevalence)
             else:
                 point = optimal_operating_point(curve, ratio, prevalence)
             op_rows.append(tag + [
@@ -305,7 +298,7 @@ def cmd_evaluate(cfg: RunConfig, manifest: Manifest) -> int:
                                      res.note])
         return roc_rows, op_rows, group_rows
 
-    done, failed = _run_cells(cfg, data, evaluate, compute_train_auc=True)
+    done, failed = _run_cells(cfg, data, evaluate, compute_train_auc=train_side)
     outputs = [
         ("roc_points.csv", ["family", "outcome", "protocol", "threshold", "fpr", "tpr"]),
         ("operating_points.csv",

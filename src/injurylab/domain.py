@@ -298,13 +298,12 @@ def aggregate_session_days(sessions):
 
 
 def build_daily_panel(sessions, injuries, athletes,
-                      season_starts: dict[int, dt.date] | None = None,
                       lag_days: int = DEFAULT_LAG_DAYS) -> DailyPanel:
     """Build the modelling panel from parsed inputs.
 
     Rows are created only for session days; rehab-flagged days and the first
-    SEASON_BURN_IN_DAYS calendar days of each season are excluded.  All six
-    outcome label columns are attached.
+    SEASON_BURN_IN_DAYS days after each `infer_season_starts` start are
+    excluded.  All six outcome label columns come from `label_outcomes`.
     """
     roster = {a.athlete_id: a for a in athletes}
     for s in sessions:
@@ -314,9 +313,7 @@ def build_daily_panel(sessions, injuries, athletes,
         if inj.athlete_id not in roster:
             raise DataError(f"injury athlete {inj.athlete_id!r} missing from roster")
 
-    if season_starts is None:
-        season_starts = infer_season_starts(sessions)
-
+    season_starts = infer_season_starts(sessions)
     day_map = aggregate_session_days(sessions)
     athlete_seasons = set()
     rows = []
@@ -355,7 +352,7 @@ def build_daily_panel(sessions, injuries, athletes,
             [(r[1] - r[5].date_of_birth).days / DAYS_PER_YEAR for r in rows]
         ),
         new_player=np.array([r[5].first_season == r[2] for r in rows], dtype=bool),
-        season_starts=dict(season_starts),
+        season_starts=season_starts,
     )
     for outcome in OUTCOMES:
         panel.labels[outcome] = label_outcomes(panel, injuries, outcome, 0)
@@ -364,38 +361,32 @@ def build_daily_panel(sessions, injuries, athletes,
     return panel
 
 
-def _qualifies(injury: InjuryRecord, outcome: str) -> bool:
-    # contact injuries never qualify for any modelled outcome
-    if not injury.non_contact:
-        return False
-    if outcome == "nc":
-        return True
-    if outcome == "nctl":
-        return injury.severity == "time_loss"
-    if outcome == "hs":
-        return injury.hamstring
-    raise ValueError(f"unknown outcome {outcome!r}")
+#: the non-contact injuries each base outcome counts; contact injuries count for none
+_COUNTS = {"nc": lambda injury: True,
+           "nctl": lambda injury: injury.severity == "time_loss",
+           "hs": lambda injury: injury.hamstring}
+#: (athlete, day) key = athlete rank * _KEY_STRIDE + date ordinal; ordinals
+#: stay below 2**22, so a key plus a lag clipped to 2**23 keeps its athlete
+_KEY_STRIDE = 1 << 24
 
 
 def label_outcomes(panel: DailyPanel, injuries, outcome: str,
                    lag_days: int = 0) -> np.ndarray:
-    """Binary labels: 1 iff a qualifying injury falls in [day, day + lag_days]."""
+    """Binary labels: 1 iff a qualifying injury falls in [day, day + lag_days];
+    injuries of athletes without panel rows label nothing."""
     if lag_days < 0:
         raise ValueError("lag_days must be >= 0")
     if outcome not in OUTCOMES:
         raise ValueError(f"unknown outcome {outcome!r}")
-    by_athlete: dict[str, list[int]] = {}
-    for i, athlete_id in enumerate(panel.athlete_ids):
-        by_athlete.setdefault(athlete_id, []).append(i)
-    labels = np.zeros(len(panel), dtype=np.int8)
-    for inj in injuries:
-        if not _qualifies(inj, outcome):
-            continue
-        for i in by_athlete.get(inj.athlete_id, ()):
-            delta = (inj.date - panel.dates[i]).days
-            if 0 <= delta <= lag_days:
-                labels[i] = 1
-    return labels
+    rank = {athlete_id: r for r, athlete_id in enumerate(dict.fromkeys(panel.athlete_ids))}
+    keys = np.array([rank[a] * _KEY_STRIDE + d.toordinal()
+                     for a, d in zip(panel.athlete_ids, panel.dates)], dtype=np.int64)
+    injury_keys = np.sort(np.array(
+        [rank[inj.athlete_id] * _KEY_STRIDE + inj.date.toordinal() for inj in injuries
+         if inj.athlete_id in rank and inj.non_contact and _COUNTS[outcome](inj)],
+        dtype=np.int64))
+    upper = np.searchsorted(injury_keys, keys + min(lag_days, 1 << 23), side="right")
+    return (upper > np.searchsorted(injury_keys, keys)).astype(np.int8)
 
 
 def split_by_season(panel: DailyPanel, train_seasons, test_seasons) -> SplitDataset:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: a subgroup with fewer positives than this carries a caution note
+SUBGROUP_MIN_POSITIVES = 5
+
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
@@ -160,7 +163,7 @@ class SubgroupResult:
     note: str = ""
 
 
-def subgroup_auc(scores, labels, group, min_pos_note: int = 5) -> dict:
+def subgroup_auc(scores, labels, group) -> dict:
     """AUC computed independently within each value of a boolean group flag.
 
     Groups missing a class are reported with ``auc=None`` and a note; small
@@ -182,7 +185,7 @@ def subgroup_auc(scores, labels, group, min_pos_note: int = 5) -> dict:
             results[value] = SubgroupResult(value, n, n_pos, n_neg, None,
                                             "insufficient data")
             continue
-        note = f"only {n_pos} positives" if n_pos < min_pos_note else ""
+        note = f"only {n_pos} positives" if n_pos < SUBGROUP_MIN_POSITIVES else ""
         results[value] = SubgroupResult(value, n, n_pos, n_neg,
                                         auc(scores[mask], labels[mask]), note)
     return results

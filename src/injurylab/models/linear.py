@@ -25,6 +25,7 @@ ENET_MAX_ITER = 10000
 UNIVARIATE_TOL = 1e-8
 UNIVARIATE_MAX_ITER = 100
 _MIN_WEIGHT = 1e-5
+_FISTA_MAX_STEPS = 100000
 
 
 def log_loss(intercept, beta, X, y, lam: float = 0.0, alpha: float = 0.0) -> float:
@@ -135,11 +136,11 @@ def fit_elastic_net_raw(X, y, lam: float, alpha: float, tol: float = ENET_TOL,
     raise fail(f"iteration cap {max_iter} reached", max_iter)
 
 
-def _fista_quadratic(H, c, theta0, l1, stop_tol, max_steps=100000):
+def _fista_quadratic(H, c, theta0, l1, stop_tol):
     """Minimize 0.5 x'Hx - c'x + l1*||x[1:]||_1 by FISTA with adaptive restart.
 
-    Returns the solution, or None if the step cap is hit.  The first
-    coordinate (intercept) is never thresholded.
+    Returns the solution, or None if the _FISTA_MAX_STEPS cap is hit.  The
+    first coordinate (intercept) is never thresholded.
     """
     lip = float(np.linalg.eigvalsh(H)[-1])
     if lip <= 0.0:
@@ -148,7 +149,7 @@ def _fista_quadratic(H, c, theta0, l1, stop_tol, max_steps=100000):
     momentum = theta.copy()
     t_k = 1.0
     shrink = l1 / lip
-    for _ in range(max_steps):
+    for _ in range(_FISTA_MAX_STEPS):
         grad = H @ momentum - c
         candidate = momentum - grad / lip
         candidate[1:] = np.sign(candidate[1:]) * np.maximum(

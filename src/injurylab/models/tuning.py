@@ -69,7 +69,7 @@ class CandidateResult:
 class CvResult:
     results: list[CandidateResult]
     selected: dict
-    folds: int
+    folds: int   # the folds scored: a fold that lacks a class is skipped
     selected_mean_auc: float = float("nan")
 
     def table(self) -> list[dict]:
@@ -154,6 +154,7 @@ def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,
     n_cand = len(candidates)
     fold_auc = np.full((n_cand, folds), np.nan)
     child_rngs = rng.spawn(folds * n_cand)
+    scored = 0
     for f in range(folds):
         valid_idx = np.flatnonzero(fold_id == f)
         train_idx = np.flatnonzero(fold_id != f)
@@ -161,6 +162,7 @@ def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,
         if np.count_nonzero(y_valid == 1) == 0 or np.count_nonzero(y_valid == 0) == 0:
             warnings.warn(f"fold {f} lacks both classes; skipped", stacklevel=2)
             continue
+        scored += 1
         outcomes = fit_fold(candidates, train_idx, valid_idx,
                             child_rngs[f * n_cand:(f + 1) * n_cand])
         for c, (params, scores) in enumerate(zip(candidates, outcomes)):
@@ -176,7 +178,7 @@ def cross_validate(candidates, X, y, fit_fold, rng: np.random.Generator,
     if prefer is None:
         prefer = lambda params: 0
     best = max(results, key=lambda r: (r.mean_auc, prefer(r.params)))
-    return CvResult(results=results, selected=dict(best.params), folds=folds,
+    return CvResult(results=results, selected=dict(best.params), folds=scored,
                     selected_mean_auc=best.mean_auc)
 
 

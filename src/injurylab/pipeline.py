@@ -31,8 +31,7 @@ from .models.base import (_ArrayEncoder, _decode_arrays, model_from_dict, model_
 from .preprocess import PcaProjection, PmmImputer, impute_session_values
 
 #: stage names -> fixed substream ids
-_STREAMS = {"impute": 0, "sampling": 1, "cv": 2, "model": 3, "subsample": 4,
-            "ingest": 5}
+_STREAMS = {"impute": 0, "sampling": 1, "model": 3, "subsample": 4, "ingest": 5}
 
 PROTOCOL_NAMES = ("none", "pca", "undersample", "smote",
                   "pca+undersample", "pca+smote")
@@ -182,25 +181,19 @@ class PreprocessBundle:
         )
 
 
-def fit_imputer(X_train, settings: PipelineSettings, feature_names=None) -> PmmImputer:
-    """The PMM imputer that `fit_preprocessing` uses for X_train.  Fitting
-    draws no random numbers, so one fit serves every run on these rows."""
-    return PmmImputer.fit(X_train, donors=settings.pmm_donors,
-                          column_names=feature_names)
-
-
 def fit_preprocessing(X_train, settings: PipelineSettings, protocol: Protocol,
                       rng: np.random.Generator, feature_names=None,
                       imputer: PmmImputer | None = None) -> tuple:
     """Fit imputer/standardizer/PCA on training data; returns (bundle, X_out).
 
-    ``imputer`` is a `fit_imputer` result for this very X_train, shared
-    between runs on the same rows; without it the imputer is fitted here.
-    An imputer whose stored fit matrix is not X_train raises ValueError,
+    ``imputer`` is a `PmmImputer.fit` of this very X_train, shared between
+    runs on the same rows; without it the imputer is fitted here.  An
+    imputer whose stored fit matrix is not X_train raises ValueError,
     because its donor pools would leak other rows into this fit.
     """
     if imputer is None:
-        imputer = fit_imputer(X_train, settings, feature_names)
+        imputer = PmmImputer.fit(X_train, donors=settings.pmm_donors,
+                                 column_names=feature_names)
     elif imputer.train is None or not np.array_equal(imputer.train, X_train,
                                                      equal_nan=True):
         raise ValueError("imputer was fitted on other rows than X_train")
@@ -361,8 +354,8 @@ def run_tasks(data: ModelingData, tasks, master_seed: int, keep,
     "Type: message" string.  Only what ``keep`` returns outlives the task;
     an error raised by ``keep`` itself propagates.
 
-    Tasks on all training rows share one PMM imputer fitted once per call
-    (see `fit_imputer`; fitting draws no random numbers); if that fit fails,
+    Tasks on all training rows share one `PmmImputer.fit` made once per
+    call (fitting draws no random numbers); if that fit fails,
     each run refits and records its own error.  OpenBLAS is held at one
     thread for the call (see `_one_blas_thread`), so the pool does not
     oversubscribe the cores and no result bit depends on ``threads`` or the
@@ -395,7 +388,8 @@ def run_tasks(data: ModelingData, tasks, master_seed: int, keep,
         imputer = None
         if any(task.rows is None for task in tasks):
             try:
-                imputer = fit_imputer(data.X_train, settings, data.feature_names)
+                imputer = PmmImputer.fit(data.X_train, donors=settings.pmm_donors,
+                                         column_names=data.feature_names)
             except Exception:   # each run refits and records the error itself
                 pass
         if threads > 1:

@@ -169,12 +169,6 @@ class PmmImputer:
         )
 
 
-def pmm_impute(X, rng: np.random.Generator, donors: int = PMM_DONORS,
-               column_names=None) -> np.ndarray:
-    """Fit-and-apply predictive mean matching on a single matrix."""
-    return PmmImputer.fit(X, donors=donors, column_names=column_names).transform(X, rng)
-
-
 def impute_session_values(sessions, rng: np.random.Generator,
                           donors: int = PMM_DONORS):
     """Fill missing raw session fields (rpe and the load variables) by PMM.
@@ -195,8 +189,8 @@ def impute_session_values(sessions, rng: np.random.Generator,
                 matrix[i, 2 + j] = float(value)
     if not np.isnan(matrix).any():
         return list(sessions)
-    filled = pmm_impute(matrix, rng, donors=donors,
-                        column_names=["duration_min", "is_match", *fields])
+    names = ["duration_min", "is_match", *fields]
+    filled = PmmImputer.fit(matrix, donors=donors, column_names=names).transform(matrix, rng)
     out = list(sessions)
     for i in np.flatnonzero(np.isnan(matrix).any(axis=1)):
         s = out[i]

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from injurylab import models, pipeline
+from injurylab import cli, models, pipeline
 from injurylab.cli import main, model_spec_for
 from injurylab.domain import parse_athletes, parse_injuries, parse_sessions
+from injurylab.metrics import operating_metrics, optimal_operating_point, roc_curve
 from injurylab.models import ModelSpec
 from injurylab.runconfig import (_SECTIONS, ConfigError, RunConfig, example_config,
                                  load_config)
@@ -196,6 +197,75 @@ class TestEvaluateCommand:
         assert {row[3] for row in subgroups[1:]} == {"new", "returning"}
         assert (out / "roc_points.csv").exists()
 
+    def test_train_operating_points_match_test_set_count(self, workspace, tmp_path):
+        config = config_variant(workspace, "train_points.ini", (
+            "cost_ratios = 50, 100, 1000",
+            "cost_ratios = 50, 100, 1000\noperating_point_source = train"))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", config, "--out", str(out)]) == 0
+        cfg = load_config(config)
+        data = cli._modeling_data(cfg)[2]
+        tasks = [pipeline.Task(cell, 0) for cell in cli._cells(cfg)]
+        scores = pipeline.run_tasks(data, tasks, cfg.seed,
+                                    lambda task, run: (run.train_scores, run.test_scores),
+                                    cli._settings(cfg), compute_train_auc=True)
+        expected, thresholds = [], set()
+        for task, (train_scores, test_scores) in zip(tasks, scores):
+            y_test = data.y_test[task.cell.outcome]
+            for ratio in cfg.cost_ratios:
+                point = counted_train_threshold_point(
+                    train_scores, data.y_train[task.cell.outcome], test_scores,
+                    y_test, ratio, float(np.mean(y_test)))
+                thresholds.add(point.threshold)
+                expected.append([*task.cell.key, cli._fmt(ratio), *(
+                    cli._fmt(value) for value in (
+                        point.threshold, point.tpr, point.fpr, point.lr_pos,
+                        point.lr_neg, point.p_injury_given_pos,
+                        point.p_injury_given_neg, point.expected_cost))])
+        assert read_csv(out / "operating_points.csv")[1:] == expected
+        assert len(thresholds) > 2
+
+
+def counted_train_threshold_point(train_scores, y_train, test_scores, y_test,
+                                  cost_ratio, prevalence):
+    """The train-side operating point as evaluate computed it by counting
+    test predictions, kept verbatim as the oracle."""
+    train_curve = roc_curve(train_scores, y_train)
+    chosen = optimal_operating_point(train_curve, cost_ratio, prevalence)
+    threshold = chosen.threshold
+    predicted = test_scores >= threshold
+    y_test = np.asarray(y_test)
+    n_pos = int(np.count_nonzero(y_test == 1))
+    n_neg = y_test.size - n_pos
+    tpr = float(np.count_nonzero(predicted & (y_test == 1)) / n_pos)
+    fpr = float(np.count_nonzero(predicted & (y_test == 0)) / n_neg)
+    return operating_metrics(tpr, fpr, prevalence, cost_ratio=cost_ratio,
+                             threshold=threshold)
+
+
+def test_train_threshold_point_reads_the_test_roc():
+    rng = np.random.default_rng(5)
+    thresholds = set()
+    for _ in range(400):
+        n = int(rng.integers(4, 40))
+        # few distinct values make ties; some infinite scores on both sides
+        train_scores = rng.integers(0, 6, size=n).astype(float)
+        test_scores = rng.integers(-1, 7, size=n).astype(float)
+        train_scores[rng.random(n) < 0.05] = np.inf
+        test_scores[rng.random(n) < 0.1] = np.inf
+        y_train, y_test = rng.integers(0, 2, size=(2, n))
+        y_train[:2] = y_test[:2] = (0, 1)
+        prevalence = float(np.mean(y_test))
+        train_curve = roc_curve(train_scores, y_train)
+        test_curve = roc_curve(test_scores, y_test)
+        for ratio in (0.05, 1.0, 50.0):
+            point = cli._train_threshold_point(train_curve, test_curve, ratio, prevalence)
+            expected = counted_train_threshold_point(train_scores, y_train, test_scores,
+                                                     y_test, ratio, prevalence)
+            assert repr(dataclasses.astuple(point)) == repr(dataclasses.astuple(expected))
+            thresholds.add(point.threshold)
+    assert np.inf in thresholds
+
 
 class TestSimulateCommand:
     def test_summary_shape_and_threads_determinism(self, workspace, tmp_path):
@@ -372,6 +442,50 @@ def test_train_runs_simulation_zero(workspace, tmp_path):
                  for row in read_csv(tmp_path / "sims" / "simulation_aucs.csv")[1:]
                  if row[3] == "0"}
     assert trained == simulated and len(trained) == 2
+
+
+def test_group_cv_keeps_each_athlete_in_one_fold(workspace, tmp_path, monkeypatch):
+    # 10 grouped folds for 8 athletes: some folds are empty and skipped
+    config = config_variant(workspace, "group_cv.ini",
+                            ("cv_folds = 3", "cv_folds = 10\ngroup_cv = true"))
+    assert model_spec_for(load_config(config), "logistic_elastic_net").group_folds
+    splits, cross_validate = [], models.tuning.cross_validate
+
+    def recording(candidates, X, y, fit_fold, rng, groups=None, **options):
+        splits.append([])
+
+        def record(candidates, train_idx, valid_idx, rngs):
+            splits[-1].append((set(groups[train_idx]), set(groups[valid_idx])))
+            return fit_fold(candidates, train_idx, valid_idx, rngs)
+
+        return cross_validate(candidates, X, y, record, rng, groups=groups, **options)
+
+    monkeypatch.setattr(models.tuning, "cross_validate", recording)
+    out = tmp_path / "train"
+    assert main(["train", "--config", config, "--out", str(out)]) == 0
+    assert len(splits) == 2
+    for outcome, folds in zip(("nc", "nc_lag"), splits):
+        assert all(len(valid) >= 1 and not train & valid for train, valid in folds)
+        _, model, _ = pipeline.load_bundle(
+            out / f"model__logistic_elastic_net__{outcome}__none.json")
+        assert model.metadata["folds"] == len(folds) < 10
+
+
+def test_lower_pca_threshold_keeps_fewer_components(workspace):
+    components = []
+    for threshold in ("0.95", "0.5"):
+        config = config_variant(workspace, f"pca{threshold}.ini", (
+            "protocols = none", f"protocols = none\npca_threshold = {threshold}"))
+        cfg = load_config(config)
+        settings = cli._settings(cfg)
+        assert settings.pca_threshold == float(threshold)
+        data = cli._modeling_data(cfg)[2]
+        bundle, Z = pipeline.fit_preprocessing(data.X_train, settings,
+                                               pipeline.Protocol(pca=True),
+                                               pipeline.stream_rng(cfg.seed, 0, "impute"))
+        assert Z.shape[1] == bundle.pca.n_components
+        components.append(bundle.pca.n_components)
+    assert 1 <= components[1] < components[0]
 
 
 class TestDescribeCommand:

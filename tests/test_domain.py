@@ -6,6 +6,7 @@ import pytest
 from injurylab.domain import (DataError, ParseError, build_daily_panel,
                               infer_season_starts, label_outcomes, parse_athletes,
                               parse_injuries, parse_sessions, split_by_season)
+from injurylab.synthdata import generate_cohort, null_config, signal_config
 
 from conftest import make_athlete, make_injury, make_session, season_sessions
 
@@ -150,10 +151,12 @@ class TestBuildDailyPanel:
         assert panel.dates == [start + dt.timedelta(days=22)]
 
     def test_age_exact_fractional_years(self):
-        # 2014-01-01 minus 1990-01-01 is exactly 24 * 365.25 days
-        sessions = [make_session("A01", dt.date(2014, 1, 1), 2014)]
-        panel = build_daily_panel(sessions, [], [make_athlete("A01", dt.date(1990, 1, 1))],
-                                  season_starts={2014: dt.date(2013, 12, 1)})
+        # the kept row, 2014-01-15, is 8766 days = exactly 24 * 365.25 days
+        # after 1990-01-15; the 2014-01-01 session starts the season
+        sessions = [make_session("A01", dt.date(2014, 1, 1), 2014),
+                    make_session("A01", dt.date(2014, 1, 15), 2014)]
+        panel = build_daily_panel(sessions, [], [make_athlete("A01", dt.date(1990, 1, 15))])
+        assert panel.dates == [dt.date(2014, 1, 15)]
         assert panel.age_years[0] == pytest.approx(24.0, abs=1e-12)
 
     def test_new_player_flag(self):
@@ -249,6 +252,61 @@ class TestLabelOutcomes:
         lag = label_outcomes(panel, injuries, "nc", 4)
         same = label_outcomes(panel, injuries, "nc", 0)
         assert same.sum() <= lag.sum() <= 5
+
+    @pytest.mark.parametrize("make_config, seed", [
+        (signal_config, 1), (signal_config, 9), (signal_config, 100),
+        (null_config, 7), (null_config, 7000),
+    ])
+    def test_matches_nested_loop_oracle(self, make_config, seed):
+        cohort = generate_cohort(make_config(seed=seed, n_athletes=8,
+                                             seasons=(2014, 2015), season_weeks=10))
+        panel = build_daily_panel(cohort.sessions, cohort.injuries, cohort.athletes)
+        first_day = panel.dates[0]
+        # an athlete without panel rows, a contact hamstring injury, and two
+        # injuries on one row's day
+        injuries = list(cohort.injuries) + [
+            make_injury("Z99", first_day),
+            make_injury(panel.athlete_ids[0], first_day, contact="contact",
+                        hamstring=True),
+            make_injury(panel.athlete_ids[-1], panel.dates[-1], severity="transient"),
+            make_injury(panel.athlete_ids[-1], panel.dates[-1], hamstring=True),
+        ]
+        for outcome in ("nc", "nctl", "hs"):
+            for lag in (0, 1, 4, 7):
+                labels = label_outcomes(panel, injuries, outcome, lag)
+                expected = nested_loop_labels(panel, injuries, outcome, lag)
+                assert labels.dtype == expected.dtype == np.int8
+                np.testing.assert_array_equal(labels, expected)
+        assert panel.labels["nc_lag"].any()
+
+
+def nested_loop_labels(panel, injuries, outcome, lag_days):
+    """The labeller that the outcome table and the key search replaced,
+    kept verbatim as the oracle."""
+    def qualifies(injury, outcome):
+        # contact injuries never qualify for any modelled outcome
+        if not injury.non_contact:
+            return False
+        if outcome == "nc":
+            return True
+        if outcome == "nctl":
+            return injury.severity == "time_loss"
+        if outcome == "hs":
+            return injury.hamstring
+        raise ValueError(f"unknown outcome {outcome!r}")
+
+    by_athlete = {}
+    for i, athlete_id in enumerate(panel.athlete_ids):
+        by_athlete.setdefault(athlete_id, []).append(i)
+    labels = np.zeros(len(panel), dtype=np.int8)
+    for inj in injuries:
+        if not qualifies(inj, outcome):
+            continue
+        for i in by_athlete.get(inj.athlete_id, ()):
+            delta = (inj.date - panel.dates[i]).days
+            if 0 <= delta <= lag_days:
+                labels[i] = 1
+    return labels
 
 
 class TestSplitBySeason:

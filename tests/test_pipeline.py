@@ -340,15 +340,15 @@ class TestSharedImputer:
     def test_imputer_fitted_on_other_rows_rejected(self, rng):
         data = data_with_gaps(rng)
         settings = PipelineSettings()
-        others = (pipeline.fit_imputer(data.X_train[1:], settings),
-                  PmmImputer.from_dict(pipeline.fit_imputer(data.X_train,
-                                                            settings).to_dict()))
+        others = (PmmImputer.fit(data.X_train[1:], donors=settings.pmm_donors),
+                  PmmImputer.from_dict(PmmImputer.fit(data.X_train,
+                                                      donors=settings.pmm_donors).to_dict()))
         for imputer in others:
             with pytest.raises(ValueError, match="other rows"):
                 pipeline.fit_preprocessing(data.X_train, settings, Protocol(),
                                            stream_rng(0, 0, "impute"),
                                            imputer=imputer)
-        shared = pipeline.fit_imputer(data.X_train, settings)
+        shared = PmmImputer.fit(data.X_train, donors=settings.pmm_donors)
         _, with_shared = pipeline.fit_preprocessing(
             data.X_train, settings, Protocol(), stream_rng(0, 0, "impute"),
             imputer=shared)

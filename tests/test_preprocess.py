@@ -28,7 +28,7 @@ def linear_matrix(rng, n=200, missing_col=2, missing_frac=0.2):
 class TestPmmImpute:
     def test_complete_matrix_unchanged(self, rng):
         X = rng.normal(size=(50, 4))
-        out = pp.pmm_impute(X, rng)
+        out = pp.PmmImputer.fit(X).transform(X, rng)
         np.testing.assert_array_equal(out, X)
 
     def test_exact_match_donor_with_k1(self, rng):
@@ -36,13 +36,13 @@ class TestPmmImpute:
         row = int(np.flatnonzero(mask)[0])
         donor = int(np.flatnonzero(~mask)[0])
         X[row, 0], X[row, 1] = X[donor, 0], X[donor, 1]
-        out = pp.pmm_impute(X, rng, donors=1)
+        out = pp.PmmImputer.fit(X, donors=1).transform(X, rng)
         assert out[row, 2] == X[donor, 2]
 
     def test_imputed_values_from_observed_support(self, rng):
         _, X, mask = linear_matrix(rng)
         observed = set(X[~mask, 2].tolist())
-        out = pp.pmm_impute(X, rng)
+        out = pp.PmmImputer.fit(X).transform(X, rng)
         for row in np.flatnonzero(mask):
             assert out[row, 2] in observed
 
@@ -52,7 +52,7 @@ class TestPmmImpute:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             X_true, X, mask = linear_matrix(rng, n=300)
-            out = pp.pmm_impute(X, rng)
+            out = pp.PmmImputer.fit(X).transform(X, rng)
             errors.append(out[:, 2].mean() - X_true[:, 2].mean())
         scale = np.abs(X_true[:, 2]).mean()
         assert np.mean(np.abs(errors)) < 0.1 * scale
@@ -61,20 +61,20 @@ class TestPmmImpute:
         X = rng.normal(size=(30, 3))
         X[:, 1] = np.nan
         with pytest.raises(ValueError, match="entirely missing"):
-            pp.pmm_impute(X, rng)
+            pp.PmmImputer.fit(X).transform(X, rng)
 
     def test_too_few_observed_rejected(self, rng):
         X = rng.normal(size=(30, 3))
         X[:25, 1] = np.nan
         with pytest.raises(ValueError, match="fewer than 10 observed"):
-            pp.pmm_impute(X, rng, column_names=["a", "b", "c"])
+            pp.PmmImputer.fit(X, column_names=["a", "b", "c"]).transform(X, rng)
 
     def test_needs_complete_predictor(self, rng):
         X = rng.normal(size=(30, 2))
         X[0, 0] = np.nan
         X[1, 1] = np.nan
         with pytest.raises(ValueError, match="fully observed column"):
-            pp.pmm_impute(X, rng)
+            pp.PmmImputer.fit(X).transform(X, rng)
 
     def test_transform_handles_new_missing_patterns(self, rng):
         _, X, _ = linear_matrix(rng)

@@ -17,7 +17,7 @@ code; manifest.txt is left out, since it records versions and paths.
 A compare prints each file whose bytes differ, is missing or is new, and
 exits 1 if there is any.  It is a diff tool for changes meant to keep every
 output bit: a change that means to alter outputs names the files it changed
-and re-records.  A run takes 50-60 s on a 2-core machine (cv_folds = 2
+and re-records.  A run takes about 15 s on a 2-core machine (cv_folds = 2
 keeps it there), and the test suite does not collect this file.
 """
 
